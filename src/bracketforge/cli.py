@@ -185,6 +185,9 @@ def cmd_generators(args) -> int:
 
 def cmd_verify(args) -> int:
     samples = args.samples
+    if samples < 1:
+        # zero samples would evaluate nothing and report a vacuous pass
+        raise ValueError(f"--samples must be at least 1, got {samples}")
     seed = args.seed
     limit = args.limit if args.limit is not None else 200
     failures = 0

@@ -8,11 +8,10 @@ parallel classes. All operations are pure; Config instances are immutable.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
-
-import networkx as nx
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 class ConfigError(ValueError):
@@ -342,18 +341,53 @@ def nilpotent_dim(cfg: Config) -> int:
 # Cactus recognition
 
 
-def incidence_graph(cfg: Config) -> nx.Graph:
-    """G(M): vertices are points of degree >= 2, edges join co-linear pairs."""
+def incidence_graph(cfg: Config) -> dict[int, list[int]]:
+    """G(M) as adjacency lists: vertices are the points of degree >= 2 in
+    label order, edges join co-linear pairs.  Each vertex lists its
+    neighbours line by line, in the order of cfg.lines."""
     cfg._require_simple()
-    g = nx.Graph()
-    verts = [p for p in cfg.points if cfg.degree(p) >= 2]
-    g.add_nodes_from(verts)
-    vset = set(verts)
+    adj: dict[int, list[int]] = {p: [] for p in cfg.points if cfg.degree(p) >= 2}
     for l in cfg.lines:
-        on_line = sorted(set(l) & vset)
+        on_line = [p for p in l if p in adj]
         for u, v in combinations(on_line, 2):
-            g.add_edge(u, v)
-    return g
+            adj[u].append(v)
+            adj[v].append(u)
+    return adj
+
+
+def _blocks(adj: dict[int, list[int]]) -> Iterator[list[tuple[int, int]]]:
+    """Biconnected components (Hopcroft-Tarjan), each as its list of edges.
+
+    Iterative depth-first search from each unvisited vertex in turn; a block
+    is emitted when the search leaves a child whose subtree has no back edge
+    above its parent.  Isolated vertices belong to no block.
+    """
+    disc: dict[int, int] = {}
+    for root in adj:
+        if root in disc:
+            continue
+        disc[root] = 0
+        low = {root: 0}
+        edges: list[tuple[int, int]] = []
+        # (parent, vertex, unexplored neighbours, index of the tree edge in edges)
+        stack = [(root, root, iter(adj[root]), 0)]
+        while stack:
+            parent, v, children, tree_edge = stack[-1]
+            child = next(children, None)
+            if child is None:
+                stack.pop()
+                if v != root:
+                    if low[v] >= disc[parent]:
+                        yield edges[tree_edge:]
+                        del edges[tree_edge:]
+                    low[parent] = min(low[parent], low[v])
+            elif child not in disc:
+                disc[child] = low[child] = len(low)
+                stack.append((v, child, iter(adj[child]), len(edges)))
+                edges.append((v, child))
+            elif child != parent and disc[child] < disc[v]:  # back edge to an ancestor
+                low[v] = min(low[v], disc[child])
+                edges.append((v, child))
 
 
 @dataclass(frozen=True)
@@ -367,25 +401,21 @@ class CactusReport:
 
 def cactus_check(cfg: Config) -> CactusReport:
     """True iff every biconnected component of G(M) is an edge or a cycle."""
-    g = incidence_graph(cfg)
-    blocks = [tuple(sorted(b)) for b in nx.biconnected_components(g)]
+    adj = incidence_graph(cfg)
+    blocks = []
     offending = None
-    ok = True
-    for block in blocks:
-        sub = g.subgraph(block)
-        n, m = sub.number_of_nodes(), sub.number_of_edges()
-        if m == 1:
-            continue
+    for block_edges in _blocks(adj):
+        block = tuple(sorted({p for e in block_edges for p in e}))
+        blocks.append(block)
+        degree = Counter(p for e in block_edges for p in e)
         # a biconnected block is a simple cycle iff every vertex has degree 2
-        if m == n and all(deg == 2 for _, deg in sub.degree()):
-            continue
-        ok = False
-        offending = block
-        break
+        is_edge_or_cycle = len(block_edges) == 1 or all(k == 2 for k in degree.values())
+        if offending is None and not is_edge_or_cycle:
+            offending = block
     return CactusReport(
-        is_cactus=ok,
-        vertices=tuple(sorted(g.nodes)),
-        edges=tuple(sorted(tuple(sorted(e)) for e in g.edges)),
+        is_cactus=offending is None,
+        vertices=tuple(adj),
+        edges=tuple(sorted((u, v) for u in adj for v in adj[u] if u < v)),
         blocks=tuple(sorted(blocks)),
         offending_block=offending,
     )
@@ -425,19 +455,35 @@ def subset_has_cycle(cfg: Config, subset: Iterable[int]) -> bool:
 
 
 def subset_has_cycle_dfs(cfg: Config, subset: Iterable[int]) -> bool:
-    """Independent cross-check of subset_has_cycle via networkx forests."""
+    """Independent cross-check of subset_has_cycle: a depth-first search of
+    the same point-line incidence graph, which has a cycle iff the search
+    meets an edge to a visited vertex other than the one it came from."""
     pts = sorted(set(subset))
-    g = nx.Graph()
-    g.add_nodes_from(("p", p) for p in pts)
+    adj: dict = {("p", p): [] for p in pts}
     for li, l in enumerate(cfg.lines):
         members = [p for p in pts if p in l]
         if len(members) >= 2:
+            adj[("l", li)] = [("p", p) for p in members]
             for p in members:
-                g.add_edge(("l", li), ("p", p))
-    return any(
-        g.subgraph(c).number_of_edges() >= len(c)
-        for c in nx.connected_components(g)
-    )
+                adj[("p", p)].append(("l", li))
+    seen: set = set()
+    for root in adj:
+        if root in seen:
+            continue
+        seen.add(root)
+        # (parent, vertex, unexplored neighbours) along the current path
+        stack = [(None, root, iter(adj[root]))]
+        while stack:
+            parent, v, children = stack[-1]
+            w = next(children, None)
+            if w is None:
+                stack.pop()
+            elif w != parent:
+                if w in seen:
+                    return True
+                seen.add(w)
+                stack.append((v, w, iter(adj[w])))
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ Two representation layers:
   meet/join calculus and the rewriting procedure.
 * BracketPoly (from .poly) - the fully expanded polynomial in the matrix
   variables.  Two formally different bracket combinations can expand to the
-  same polynomial (bracket syzygies), so canonical comparison and evaluation
-  happen at this layer.
+  same polynomial (bracket syzygies), so canonical comparison happens at
+  this layer.  Evaluation does not need it: a bracket's value at a
+  realization is a 3 x 3 determinant.
 
 Grades are the exterior-algebra grades in dimension 3: points are grade 1,
 lines (2-extensors) grade 2, scalars grade 0.  Meet is implemented for the
@@ -19,12 +20,14 @@ ab ^ cd = [a b c] d - [a b d] c.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .config import Config
+from .linalg import det3
 from .poly import BracketPoly, bracket
 
 # A bracket triple is stored sorted ascending; a combo monomial is a sorted
@@ -142,7 +145,20 @@ class BracketCombo:
         return out
 
     def eval(self, gamma) -> Fraction:
-        return self.expand().eval(gamma)
+        """Exact value at gamma as sum c * prod det3, with no expansion.
+
+        Each distinct bracket triple is computed once per call.
+        """
+        dets: dict = {}
+        total = Fraction(0)
+        for m, c in self.terms.items():
+            for t in m:
+                v = dets.get(t)
+                if v is None:
+                    v = dets[t] = det3(*(gamma.col(p) for p in t))
+                c *= v
+            total += c
+        return total
 
     def to_text(self) -> str:
         if not self.terms:
@@ -160,33 +176,54 @@ class BracketCombo:
         return f"BracketCombo({self.to_text()})"
 
 
+_TOKEN = re.compile(r"\s*(?:\[([^\]]*)\]|(\d+(?:/\d+)?)|([-+*]))")
+
+
+def _parse_bracket(body: str, text: str) -> BracketCombo:
+    labels = body.split()
+    if len(labels) == 1:
+        labels = list(labels[0])  # compact published form, one digit per point
+    if len(labels) != 3 or not all(l.isdigit() for l in labels):
+        raise ValueError(f"bad bracket [{body}] in {text!r}")
+    return BracketCombo.of_bracket(*map(int, labels))
+
+
 def parse_bracket_text(text: str) -> BracketCombo:
-    """Parse forms like "[153][142]-[154][132]" (single-digit points)."""
+    """Parse a bracket combination as printed by BracketCombo.to_text.
+
+    A bracket holds three point labels separated by whitespace ("[1 2 10]"),
+    or three single digits in the compact published form ("[153]").  A term
+    is a product of brackets and rational coefficients, with an optional
+    "*" between factors ("- 3/2*[1 2 4][3 5 6]").
+    """
     out = BracketCombo.zero()
     term = None
     sign = 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch in "+- ":
-            if ch in "+-" and term is not None:
+    prev = None  # kind of the previous token: "factor", "*" or "sign"
+    pos, end = 0, len(text.rstrip())
+    while pos < end:
+        tok = _TOKEN.match(text, pos)
+        if tok is None:
+            raise ValueError(f"unexpected character {text[pos:].lstrip()[0]!r} in {text!r}")
+        pos = tok.end()
+        body, number, op = tok.groups()
+        if op is None:
+            factor = _parse_bracket(body, text) if number is None else BracketCombo.const(Fraction(number))
+            term = factor if term is None else term * factor
+            prev = "factor"
+        elif op == "*" and prev == "factor":
+            prev = "*"
+        elif op in "+-" and prev != "*":
+            if term is not None:
                 out = out + term.scale(sign)
-                term = None
-            if ch == "-":
-                sign = -1
-            elif ch == "+":
-                sign = 1
-            i += 1
-        elif ch == "[":
-            j = text.index("]", i)
-            digits = [int(d) for d in text[i + 1 : j] if d.strip()]
-            if len(digits) != 3:
-                raise ValueError(f"bad bracket in {text!r}")
-            b = BracketCombo.of_bracket(*digits)
-            term = b if term is None else term * b
-            i = j + 1
+                term, sign = None, 1
+            if op == "-":
+                sign = -sign
+            prev = "sign"
         else:
-            raise ValueError(f"unexpected character {ch!r} in {text!r}")
+            raise ValueError(f"misplaced {op!r} in {text!r}")
+    if prev in ("*", "sign"):
+        raise ValueError(f"expression ends with an operator: {text!r}")
     if term is not None:
         out = out + term.scale(sign)
     return out

@@ -16,6 +16,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from .config import Config, Ordering, admissible_ordering, cactus_check, preset, q_points
 from .linalg import (
     RETRY_CAP,
+    ZERO3,
     Realization,
     Vec3,
     cross,
@@ -23,7 +24,6 @@ from .linalg import (
     meet_lines,
     normalize_projective,
     proportional,
-    rank_vectors,
     vec3,
     vsub,
 )
@@ -50,7 +50,7 @@ def in_circuit_variety(cfg: Config, gamma: Realization):
             return False, f"loop {p} is nonzero"
     for cls in cfg.parallel:
         for a, b in combinations(cls, 2):
-            if rank_vectors([gamma.col(a), gamma.col(b)]) > 1:
+            if cross(gamma.col(a), gamma.col(b)) != ZERO3:
                 return False, f"parallel pair {{{a},{b}}} is independent"
     for c in sorted(cfg.circuits3() if cfg.is_simple() else _dependent_triples(cfg), key=sorted):
         a, b, d = sorted(c)
@@ -78,7 +78,7 @@ def in_realization_space(cfg: Config, gamma: Realization):
             return False, f"non-loop point {p} is the zero vector"
     rep = cfg._parallel_rep_map()
     for a, b in combinations(cfg.nonloop_points, 2):
-        if rep[a] != rep[b] and rank_vectors([gamma.col(a), gamma.col(b)]) < 2:
+        if rep[a] != rep[b] and cross(gamma.col(a), gamma.col(b)) == ZERO3:
             return False, f"points {a},{b} coincide but are not parallel"
     for t in cfg.bases():
         if det3(*(gamma.col(p) for p in t)) == 0:
@@ -582,7 +582,7 @@ def collinear_realization(cfg: Config, seed: int = 0) -> Realization:
         if g.rank() != 2:
             return False
         for i, j in combinations(range(1, cfg.d + 1), 2):
-            if rank_vectors([g.col(i), g.col(j)]) < 2:
+            if cross(g.col(i), g.col(j)) == ZERO3:
                 return False
         return True
 

@@ -6,6 +6,10 @@ polynomials [c2 c3 q], -[c1 c3 q], [c1 c2 q] in columns c1, c2, c3.  Its
 kernel at a planar collection gamma parametrizes the ways to lift gamma out
 of its plane along the direction q while preserving the circuits to first
 order.
+
+`lift_matrix` builds the matrix of polynomials.  Verdicts (descriptor minors,
+lifting dimensions, liftings) build its value at gamma directly from cross
+products, [u v q] = dot(cross(gamma_u, gamma_v), q), in the same layout.
 """
 
 from __future__ import annotations
@@ -14,18 +18,22 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .config import Config, ConfigError, admissible_ordering
 from .linalg import (
     BASIS,
+    ZERO3,
     Realization,
     Vec3,
+    cross,
     det3,
+    det_exact,
+    dot,
     kernel_basis,
     meet_lines,
     proportional,
-    rank_vectors,
     vadd,
     vec3,
     vscale,
@@ -35,6 +43,9 @@ from .poly import BracketPoly, ColumnSym, Q_COL, bracket, const_col, lazy_minor_
 
 class LiftingError(ValueError):
     pass
+
+
+ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -120,29 +131,76 @@ class LiftMatrix:
     def bracket_text(self) -> list[list[str]]:
         """Shorthand like "[23 q1]" mirroring how such matrices are printed."""
         out = []
-        for circuit, _ in zip(self.circuits, self.entries):
-            c1, c2, c3 = circuit
+        for entries in _circuit_rows(self.cfg):
             row = ["0"] * self.cfg.d
-            for col, pair, sign in ((c1, (c2, c3), ""), (c2, (c1, c3), "-"), (c3, (c1, c2), "")):
+            for col, (u, v), sign in entries:
                 qname = "q" if self.scheme.kind != "per-column" else f"q{col}"
-                row[col - 1] = f"{sign}[{pair[0]}{pair[1]} {qname}]"
+                row[col - 1] = f"{'-' if sign < 0 else ''}[{u}{v} {qname}]"
             out.append(row)
         return out
+
+
+def _circuit_rows(cfg: Config) -> list[tuple[tuple[int, tuple[int, int], int], ...]]:
+    """The liftability layout: one row per 3-circuit c1 < c2 < c3, in sorted
+    circuit order, as (column, bracket pair, sign) for columns c1, c2, c3."""
+    return [
+        ((c1, (c2, c3), 1), (c2, (c1, c3), -1), (c3, (c1, c2), 1))
+        for c1, c2, c3 in sorted(tuple(sorted(c)) for c in cfg.circuits3())
+    ]
 
 
 def lift_matrix(cfg: Config, scheme: QScheme) -> LiftMatrix:
     cfg._require_simple()
     if scheme.kind == "per-column" and len(scheme.per_column) != cfg.d:
         raise LiftingError("per-column scheme length must equal d")
-    circuits = sorted(tuple(sorted(c)) for c in cfg.circuits3())
+    layout = _circuit_rows(cfg)
     rows = []
-    for c1, c2, c3 in circuits:
+    for entries in layout:
         row = [BracketPoly.zero()] * cfg.d
-        row[c1 - 1] = bracket(c2, c3, scheme.q_column(c1))
-        row[c2 - 1] = -bracket(c1, c3, scheme.q_column(c2))
-        row[c3 - 1] = bracket(c1, c2, scheme.q_column(c3))
+        for col, (u, v), sign in entries:
+            p = bracket(u, v, scheme.q_column(col))
+            row[col - 1] = p if sign > 0 else -p
         rows.append(tuple(row))
-    return LiftMatrix(cfg, scheme, tuple(circuits), tuple(rows))
+    circuits = tuple(tuple(col for col, _, _ in entries) for entries in layout)
+    return LiftMatrix(cfg, scheme, circuits, tuple(rows))
+
+
+def _numeric_rows(
+    cfg: Config,
+    gamma: Realization,
+    q_cols: Sequence[Vec3],
+    rows: Optional[Sequence[int]] = None,
+    cols: Optional[Sequence[int]] = None,
+) -> list[list[Fraction]]:
+    """The liftability matrix evaluated at gamma, built numerically.
+
+    Entry (circuit, c) is sign * [u v q_c] = sign * dot(cross(gamma_u,
+    gamma_v), q_c), with q_cols[c - 1] the direction used in column c.
+    rows and cols (0-based) select a submatrix; by default all of it.
+    """
+    if gamma.d != cfg.d:
+        raise LiftingError("realization size does not match configuration")
+    if len(q_cols) != cfg.d:
+        raise LiftingError("one q vector per column is needed")
+    layout = _circuit_rows(cfg)
+    if rows is None:
+        rows = range(len(layout))
+    if cols is None:
+        cols = range(cfg.d)
+    if any(not 0 <= r < len(layout) for r in rows) or any(not 0 <= c < cfg.d for c in cols):
+        raise ValueError("minor indices out of range")
+    crosses: dict = {}
+    out = []
+    for r in rows:
+        entries = {}
+        for col, pair, sign in layout[r]:
+            w = crosses.get(pair)
+            if w is None:
+                w = crosses[pair] = cross(gamma.col(pair[0]), gamma.col(pair[1]))
+            value = dot(w, q_cols[col - 1])
+            entries[col] = value if sign > 0 else -value
+        out.append([entries.get(c + 1, ZERO) for c in cols])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -200,16 +258,10 @@ def minor_count(preset: str) -> int:
     total = 0
     for _tag, _deleted, size, qmode, cfg in _recipe_matrices(preset):
         ncols = len(cfg.nonloop_points)
-        positions = _comb(ncols, size)
+        positions = comb(ncols, size)
         assignments = 3 ** ncols if qmode == "basis" else 1
         total += positions * assignments
     return total
-
-
-def _comb(n: int, k: int) -> int:
-    from math import comb
-
-    return comb(n, k)
 
 
 def _positions(n_rows: int, n_cols: int, size: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -255,7 +307,7 @@ def sample_descriptors(preset: str, count: int, seed: int) -> list[MinorDescript
     matrices = list(_recipe_matrices(preset))
     weights = []
     for _tag, _deleted, size, qmode, cfg in matrices:
-        positions = _comb(cfg.d, size)
+        positions = comb(cfg.d, size)
         weights.append(positions * (3 ** cfg.d if qmode == "basis" else 1))
     out = []
     for _ in range(count):
@@ -268,23 +320,41 @@ def sample_descriptors(preset: str, count: int, seed: int) -> list[MinorDescript
     return out
 
 
-def descriptor_matrix(desc: MinorDescriptor) -> LiftMatrix:
+def _descriptor_config(desc: MinorDescriptor) -> Config:
     base = _preset_config(desc.preset)
-    cfg = base if desc.deleted is None else base.delete({desc.deleted})
+    return base if desc.deleted is None else base.delete({desc.deleted})
+
+
+def descriptor_matrix(desc: MinorDescriptor) -> LiftMatrix:
+    """The symbolic liftability matrix a descriptor's minor is taken from."""
     if desc.q_assignment is None:
         scheme = QScheme.symbolic()
     else:
         scheme = QScheme.per_col(tuple(BASIS[i - 1] for i in desc.q_assignment))
-    return lift_matrix(cfg, scheme)
+    return lift_matrix(_descriptor_config(desc), scheme)
 
 
 def eval_descriptor(
     desc: MinorDescriptor, gamma: Realization, q: Optional[Vec3] = None
 ) -> Fraction:
     """Evaluate the descriptor's minor at gamma (gamma indexed by the
-    descriptor's own configuration, i.e. already restricted if deleted)."""
-    m = descriptor_matrix(desc)
-    return m.minor_eval(desc.rows, desc.cols, gamma, q)
+    descriptor's own configuration, i.e. already restricted if deleted).
+
+    Only the selected rows and columns are built, numerically; q is the
+    direction for a symbolic-q descriptor and is ignored otherwise.
+    """
+    if len(desc.rows) != len(desc.cols):
+        raise ValueError("minor needs equally many rows and columns")
+    if not desc.rows:
+        raise ValueError("empty minor")
+    cfg = _descriptor_config(desc)
+    if desc.q_assignment is not None:
+        q_cols = tuple(BASIS[i - 1] for i in desc.q_assignment)
+    elif q is None:
+        raise ValueError("descriptor has a symbolic q but no q value given")
+    else:
+        q_cols = (q,) * cfg.d
+    return det_exact(_numeric_rows(cfg, gamma, q_cols, desc.rows, desc.cols))
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +383,7 @@ def q_general_position(cfg: Config, gamma: Realization, q: Vec3) -> bool:
     for l in cfg.lines:
         pts = [gamma.col(p) for p in l]
         for a, b in combinations(pts, 2):
-            if rank_vectors([a, b]) == 2 and det3(a, b, q) == 0:
+            if cross(a, b) != ZERO3 and det3(a, b, q) == 0:
                 return False
     return True
 
@@ -324,8 +394,7 @@ def lift_dim(cfg: Config, gamma: Realization, q: Vec3) -> int:
         raise LiftingError("realization violates a circuit of the configuration")
     if not q_general_position(cfg, gamma, q):
         raise LiftingError("q is not in general position for this realization")
-    m = lift_matrix(cfg, QScheme.concrete(q))
-    numeric = m.evaluate(gamma)
+    numeric = _numeric_rows(cfg, gamma, (q,) * cfg.d)
     if not numeric:
         return cfg.d
     return len(kernel_basis(numeric))
@@ -354,8 +423,7 @@ def construct_lifting(cfg: Config, gamma: Realization, q: Vec3) -> Optional[Real
         raise LiftingError("realization violates a circuit of the configuration")
     if not q_general_position(cfg, gamma, q):
         raise LiftingError("q is not in general position for this realization")
-    m = lift_matrix(cfg, QScheme.concrete(q))
-    numeric = m.evaluate(gamma)
+    numeric = _numeric_rows(cfg, gamma, (q,) * cfg.d)
     kernel = (
         kernel_basis(numeric)
         if numeric
@@ -377,8 +445,7 @@ def construct_lifting(cfg: Config, gamma: Realization, q: Vec3) -> Optional[Real
 
 def trivial_lifting_dim(cfg: Config, gamma: Realization, q: Vec3) -> int:
     """Dimension of the kernel vectors that lift gamma to rank <= 2."""
-    m = lift_matrix(cfg, QScheme.concrete(q))
-    numeric = m.evaluate(gamma)
+    numeric = _numeric_rows(cfg, gamma, (q,) * cfg.d)
     kernel = kernel_basis(numeric) if numeric else []
     # the degenerate liftings form a subspace; measure its span directly
     span: list[list[Fraction]] = []

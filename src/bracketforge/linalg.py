@@ -7,6 +7,7 @@ All arithmetic uses Fraction; there are no tolerances anywhere. Vectors are
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -161,14 +162,15 @@ def det_exact(m: Sequence[Sequence[Fraction]]) -> Fraction:
     n = len(m)
     if n == 0:
         return Fraction(1)
-    assert all(len(row) == n for row in m), "determinant needs a square matrix"
+    if any(len(row) != n for row in m):
+        raise ValueError("determinant needs a square matrix")
     a: list[list[int]] = []
     scale = Fraction(1)
     for row in m:
         fr = [Fraction(x) for x in row]
         den = 1
         for x in fr:
-            den = den * x.denominator // _gcd(den, x.denominator)
+            den = den * x.denominator // math.gcd(den, x.denominator)
         scale /= den
         a.append([int(x * den) for x in fr])
     sign = 1
@@ -186,12 +188,6 @@ def det_exact(m: Sequence[Sequence[Fraction]]) -> Fraction:
             a[i][k] = 0
         prev = a[k][k]
     return sign * scale * a[n - 1][n - 1]
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a if a else 1
 
 
 def rank_vectors(vectors: Iterable[Vec3]) -> int:

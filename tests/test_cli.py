@@ -82,6 +82,16 @@ def test_verify_reports_and_exit_code():
     assert doc["fixtures"]["pascal"]["circuit"]["nonvanishing"] == 0
 
 
+def test_verify_rejects_samples_below_one():
+    for value in ("0", "-1"):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(["verify", "--samples", value])
+        assert code == 2
+        [line] = buf.getvalue().splitlines()
+        assert "--samples" in json.loads(line)["error"]
+
+
 def test_output_deterministic():
     a = run(["describe", "--config", "pascal"])
     b = run(["describe", "--config", "pascal"])

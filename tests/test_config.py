@@ -1,8 +1,12 @@
 import random
+import subprocess
+import sys
+from itertools import combinations
 
 import pytest
 
 from bracketforge.config import (
+    CactusReport,
     Config,
     ConfigError,
     admissible_ordering,
@@ -112,6 +116,55 @@ def test_cactus_check():
         report = cactus_check(preset(name))
         assert not report.is_cactus
         assert report.offending_block is not None
+
+
+def _networkx_cactus_report(cfg):
+    """CactusReport computed with networkx, the reference for cactus_check."""
+    nx = pytest.importorskip("networkx")
+    g = nx.Graph()
+    verts = [p for p in cfg.points if cfg.degree(p) >= 2]
+    g.add_nodes_from(verts)
+    for l in cfg.lines:
+        g.add_edges_from(combinations([p for p in l if p in verts], 2))
+    blocks = [tuple(sorted(b)) for b in nx.biconnected_components(g)]
+    offending = None
+    for block in blocks:
+        sub = g.subgraph(block)
+        edge = sub.number_of_edges() == 1
+        cycle = sub.number_of_edges() == len(block) and all(k == 2 for _, k in sub.degree())
+        if not (edge or cycle):
+            offending = block
+            break
+    return CactusReport(
+        is_cactus=offending is None,
+        vertices=tuple(sorted(g.nodes)),
+        edges=tuple(sorted(tuple(sorted(e)) for e in g.edges)),
+        blocks=tuple(sorted(blocks)),
+        offending_block=offending,
+    )
+
+
+def test_cactus_check_matches_networkx():
+    from bracketforge.harness import random_cactus
+
+    names = ("pascal", "pappus", "qs", "fano", "grid3x3", "cactus14", "cycle:4:3", "line:4")
+    cfgs = [preset(n) for n in names]
+    cfgs += [random_cactus(seed, blocks) for seed in range(20) for blocks in (2, 4)]
+    # glued presets: several blocks that are neither edges nor cycles
+    rng = random.Random(0)
+    for _ in range(40):
+        cfg = preset(rng.choice(names))
+        for _ in range(rng.randint(1, 3)):
+            other = preset(rng.choice(names))
+            cfg = free_glue(cfg, other, rng.randint(1, cfg.d), rng.randint(1, other.d))
+        cfgs.append(cfg)
+    for cfg in cfgs:
+        assert cactus_check(cfg) == _networkx_cactus_report(cfg), cfg
+
+
+def test_import_does_not_load_networkx():
+    code = "import sys, bracketforge; sys.exit('networkx' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 def test_q_points():

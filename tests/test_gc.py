@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bracketforge.config import preset
 from bracketforge.gc import (
@@ -46,6 +48,44 @@ def test_parse_round_trip():
     assert len(combo.terms) == 2
     # parsing the canonical rendering gives the same combination back
     assert parse_bracket_text(combo.to_text().replace(" ", "")) == combo
+
+
+labels = st.integers(min_value=1, max_value=30)
+triples = st.tuples(labels, labels, labels).filter(lambda t: len(set(t)) == 3)
+coefficients = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
+combos = st.lists(
+    st.tuples(coefficients, st.lists(triples, min_size=0, max_size=3)), max_size=4
+).map(
+    lambda terms: sum(
+        (
+            BracketCombo.const(c) * _product(BracketCombo.of_bracket(*t) for t in ts)
+            for c, ts in terms
+        ),
+        BracketCombo.zero(),
+    )
+)
+
+
+def _product(factors):
+    out = BracketCombo.const(1)
+    for f in factors:
+        out = out * f
+    return out
+
+
+@given(combos)
+def test_parse_round_trip_multi_digit_labels(combo):
+    assert parse_bracket_text(combo.to_text()) == combo
+
+
+def test_parse_multi_digit_and_compact_forms():
+    combo = parse_bracket_text("[1 2 10][3 11 12]")
+    assert combo == BracketCombo.of_bracket(1, 2, 10) * BracketCombo.of_bracket(3, 11, 12)
+    assert parse_bracket_text(combo.to_text()) == combo
+    assert parse_bracket_text("[153]") == parse_bracket_text("[1 5 3]")
+    for bad in ("[12]", "[1 2]", "[1 2 3] -", "*[123]", "[123]x", "[1 2 3]*-[4 5 6]"):
+        with pytest.raises(ValueError):
+            parse_bracket_text(bad)
 
 
 def test_join_grade3_is_bracket():

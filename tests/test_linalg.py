@@ -127,6 +127,12 @@ def test_det_exact_vs_permutation_expansion():
         assert det_exact(m) == laplace_det(m)
 
 
+def test_det_exact_rejects_non_square():
+    # a check, not an assert, so it holds under python -O too
+    with pytest.raises(ValueError):
+        det_exact([[F(1), F(2), F(3)], [F(4), F(5), F(6)]])
+
+
 def test_det_exact_matches_det3():
     rng = random.Random(11)
     for _ in range(20):
