@@ -2,16 +2,15 @@
 
 Every subcommand prints one JSON document to standard output (pretty-printed
 with --pretty) and exits 0 on success, 1 on a verification failure or
-violated hypothesis, 2 on usage errors.
+violated hypothesis, 2 on usage errors.  Errors are one-line documents
+{"error": message}.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import harness, ideals, lifting
@@ -26,15 +25,7 @@ from .config import (
     q_points,
     subset_has_cycle,
 )
-from .gc import gm_generators
 from .lifting import QScheme, lift_matrix, minor_count, sample_descriptors
-
-
-def workers() -> int:
-    try:
-        return max(1, int(os.environ.get("BRACKETFORGE_WORKERS", "1")))
-    except ValueError:
-        return 1
 
 
 def load_config(source: str) -> Config:
@@ -52,10 +43,6 @@ def load_config(source: str) -> Config:
 
 def emit(doc, pretty: bool) -> None:
     print(json.dumps(doc, indent=2 if pretty else None, sort_keys=True))
-
-
-def _frac(x: Fraction) -> str:
-    return str(x)
 
 
 def cmd_describe(args) -> int:
@@ -175,23 +162,16 @@ def cmd_generators(args) -> int:
             doc["families"]["lifting"] = entry
         else:
             doc["families"]["lifting"] = {"count": 0}
-    if args.count_only and args.family == "lifting":
-        # bare count for scripting
-        print(doc["families"]["lifting"]["count"])
-        return 0
     emit(doc, args.pretty)
     return 0
 
 
 def cmd_verify(args) -> int:
     samples = args.samples
-    if samples < 1:
-        # zero samples would evaluate nothing and report a vacuous pass
-        raise ValueError(f"--samples must be at least 1, got {samples}")
     seed = args.seed
     limit = args.limit if args.limit is not None else 200
     failures = 0
-    report: dict = {"samples": samples, "seed": seed, "fixtures": {}, "workers": workers()}
+    report: dict = {"samples": samples, "seed": seed, "fixtures": {}}
     for fixture in harness.fixtures():
         cfg = fixture.cfg
         gammas = fixture.samples(samples, seed)
@@ -257,11 +237,11 @@ def cmd_replay(args) -> int:
     rep = harness.replay_cactus_counterexample(check_gm_depth=args.depth)
     emit(
         {
-            "l1": [_frac(c) for c in rep.l1],
-            "l3": [_frac(c) for c in rep.l3],
-            "l2": [_frac(c) for c in rep.l2],
-            "det_with_integer_representatives": _frac(rep.det_exact_representatives),
-            "det_raw": _frac(rep.det_raw),
+            "l1": [str(c) for c in rep.l1],
+            "l3": [str(c) for c in rep.l3],
+            "l2": [str(c) for c in rep.l2],
+            "det_with_integer_representatives": str(rep.det_exact_representatives),
+            "det_raw": str(rep.det_raw),
             "in_circuit_variety": rep.in_circuit_variety,
             "rewrite_generators": rep.gm_vanishing,
             "ok": rep.ok(),
@@ -271,8 +251,26 @@ def cmd_replay(args) -> int:
     return 0 if rep.ok() else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # usage errors take the same JSON path as every other error
+        raise ValueError(message)
+
+
+def _at_least(low: int):
+    """argparse type: an integer no smaller than `low`."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="bracketforge",
         description="Exact generators and verification for rank-3 point-line configurations",
     )
@@ -282,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
         if config:
             sp.add_argument("--config", required=True, help="preset name or JSON file path")
         sp.add_argument("--pretty", action="store_true")
-        sp.add_argument("--seed", type=int, default=0)
         return sp
 
     common(sub.add_parser("describe")).set_defaults(func=cmd_describe)
@@ -292,38 +289,38 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = common(sub.add_parser("generators"))
     g.add_argument("--family", choices=("circuit", "gc", "lifting", "all"), default="all")
-    g.add_argument("--limit", type=int, default=None)
+    g.add_argument("--limit", type=_at_least(0), default=None)
     g.add_argument("--count-only", action="store_true")
-    g.add_argument("--depth", type=int, default=ideals.DEFAULT_GM_DEPTH)
+    g.add_argument("--depth", type=_at_least(0), default=ideals.DEFAULT_GM_DEPTH)
     g.set_defaults(func=cmd_generators)
 
     v = common(sub.add_parser("verify"), config=False)
-    v.add_argument("--samples", type=int, default=5)
-    v.add_argument("--limit", type=int, default=None, help="lifting descriptors per preset")
+    v.add_argument("--seed", type=int, default=0)
+    # zero samples or descriptors would evaluate nothing and report a vacuous pass
+    v.add_argument("--samples", type=_at_least(1), default=5)
+    v.add_argument("--limit", type=_at_least(1), default=None, help="lifting descriptors per preset")
     v.set_defaults(func=cmd_verify)
 
     common(sub.add_parser("decompose")).set_defaults(func=cmd_decompose)
 
     r = common(sub.add_parser("replay-counterexample"), config=False)
-    r.add_argument("--depth", type=int, default=1, help="rewrite depth checked at the witness")
+    r.add_argument("--depth", type=_at_least(0), default=1, help="rewrite depth checked at the witness")
     r.set_defaults(func=cmd_replay)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ConfigError, ideals.HypothesisError, lifting.LiftingError) as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stdout)
-        return 1
+    except SystemExit:  # only --help exits the parser; it has printed its text
+        return 0
+    except (ConfigError, ideals.HypothesisError, lifting.LiftingError, harness.FixtureError) as exc:
+        error, code = exc, 1
     except (OSError, ValueError) as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stdout)
-        return 2
+        error, code = exc, 2
+    emit({"error": str(error)}, pretty=False)
+    return code
 
 
 if __name__ == "__main__":

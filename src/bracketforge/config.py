@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 
 class ConfigError(ValueError):
@@ -197,13 +197,30 @@ class Config:
 
     @staticmethod
     def from_json(text: str) -> "Config":
-        data = json.loads(text)
-        return Config(
-            int(data["d"]),
-            data.get("lines", []),
-            set(data.get("loops", [])),
-            data.get("parallel", []),
-        )
+        """Parse the to_json format; any malformed document is a ConfigError."""
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"configuration is not valid JSON: {exc}") from None
+        if not isinstance(data, dict):
+            raise ConfigError("configuration must be a JSON object")
+        d = data.get("d")
+        if type(d) is not int or d < 1:
+            raise ConfigError(f'"d" must be a positive integer, got {d!r}')
+
+        def labels(value, what: str) -> list[int]:
+            if not isinstance(value, list) or any(type(p) is not int for p in value):
+                raise ConfigError(f"{what} must be a list of integer labels")
+            return value
+
+        def groups(key: str) -> list[list[int]]:
+            value = data.get(key, [])
+            if not isinstance(value, list):
+                raise ConfigError(f'"{key}" must be a list of label lists')
+            return [labels(g, f'each entry of "{key}"') for g in value]
+
+        loops = labels(data.get("loops", []), '"loops"')
+        return Config(d, groups("lines"), set(loops), groups("parallel"))
 
 
 # ---------------------------------------------------------------------------
@@ -298,9 +315,6 @@ class Ordering:
     @property
     def dim(self) -> int:
         return len(self.perm) - sum(self.weights)
-
-    def is_admissible(self) -> bool:
-        return all(w <= 1 for w in self.weights)
 
 
 def _degree_in_restriction(cfg: Config, present: set[int], p: int) -> int:

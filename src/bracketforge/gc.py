@@ -249,9 +249,6 @@ class GCExpr:
         items = tuple(sorted((k, v) for k, v in mapping.items() if not v.is_zero()))
         return GCExpr(grade, items)
 
-    def mapping(self) -> dict:
-        return dict(self.terms)
-
     def is_zero(self) -> bool:
         return not self.terms
 

@@ -8,14 +8,13 @@ monotone shrinking of exact differences at sample parameter values.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional
 
-from .config import Config, Ordering, admissible_ordering, cactus_check, preset, q_points
+from .config import Config, admissible_ordering, cactus_check, preset, q_points
 from .linalg import (
-    RETRY_CAP,
     ZERO3,
     Realization,
     Vec3,
@@ -25,12 +24,14 @@ from .linalg import (
     normalize_projective,
     proportional,
     vec3,
-    vsub,
 )
 
 
 class FixtureError(RuntimeError):
     pass
+
+
+RETRY_CAP = 100  # attempts a sampler makes before giving up
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +273,6 @@ def family_limit_check(x: Fraction, y: Fraction, eps_values=(Fraction(1, 10), Fr
 
 # ---------------------------------------------------------------------------
 # Counterexample replay
-
-COUNTEREXAMPLE_COLUMN_ORDER = (4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 1, 2, 3)
 
 _COUNTEREXAMPLE_COLUMNS = {
     4: (1, 0, 0),
@@ -524,11 +523,7 @@ def _complete_quadrilateral(rng: random.Random) -> Optional[Realization]:
 
 def qs_realization(seed: int = 0) -> Realization:
     """A generic rank-3 realization of the complete quadrilateral."""
-
-    def attempt(rng: random.Random) -> Optional[Realization]:
-        return _complete_quadrilateral(rng)
-
-    return _retrying(attempt, lambda g: g.rank() == 3, seed)
+    return _retrying(_complete_quadrilateral, lambda g: g.rank() == 3, seed)
 
 
 def quadrilateral_set_flat(seed: int = 0) -> Realization:
@@ -589,20 +584,14 @@ def collinear_realization(cfg: Config, seed: int = 0) -> Realization:
     return _retrying(attempt, ok, seed)
 
 
-def generic_q(gamma: Realization, seed: int = 0, cfg: Optional[Config] = None) -> Vec3:
-    """A rational q in general position with respect to gamma."""
+def generic_q(gamma: Realization, seed: int, cfg: Config) -> Vec3:
+    """A rational q in general position for cfg realized by gamma."""
     from .lifting import q_general_position
 
     rng = random.Random(seed)
     for _ in range(RETRY_CAP):
         q = vec3(_rand_frac(rng), _rand_frac(rng), 1 + _rand_frac(rng))
-        if cfg is not None:
-            if q_general_position(cfg, gamma, q):
-                return q
-            continue
-        if any(q) and all(
-            not proportional(q, gamma.col(i)) for i in range(1, gamma.d + 1) if any(gamma.col(i))
-        ):
+        if q_general_position(cfg, gamma, q):
             return q
     raise FixtureError("no generic q found")
 

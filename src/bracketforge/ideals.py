@@ -11,12 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .config import Config, cactus_check, chains, q_points, subset_has_cycle
+from .config import Config, cactus_check, q_points, subset_has_cycle
 from .gc import (
     BracketCombo,
-    GCExpr,
     circuit_combos,
-    concurrency_combo,
     flatten,
     gm_generators,
     join,
@@ -25,7 +23,7 @@ from .gc import (
     parse_bracket_text,
     point_expr,
 )
-from .lifting import MinorDescriptor, iter_descriptors, minor_count
+from .lifting import iter_descriptors, minor_count
 
 
 class HypothesisError(ValueError):

@@ -21,7 +21,9 @@ from itertools import combinations, product
 from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .config import Config, ConfigError, admissible_ordering
+from . import config
+from .config import Config
+from .harness import in_circuit_variety
 from .linalg import (
     BASIS,
     ZERO3,
@@ -32,8 +34,8 @@ from .linalg import (
     det_exact,
     dot,
     kernel_basis,
-    meet_lines,
     proportional,
+    rank,
     vadd,
     vec3,
     vscale,
@@ -232,21 +234,14 @@ class MinorDescriptor:
     q_assignment: Optional[tuple[int, ...]]
 
 
-def _preset_config(preset: str) -> Config:
-    from .config import preset as preset_cfg
-
-    return preset_cfg(preset)
+def _matrix_config(preset: str, deleted: Optional[int]) -> Config:
+    base = config.preset(preset)
+    return base if deleted is None else base.delete({deleted})
 
 
 def _recipe_matrices(preset: str):
-    base = _preset_config(preset)
-    for tag, deleted, size, qmode in PRESET_MINOR_RECIPES[preset]:
-        cfg = base if deleted is None else base.delete({deleted})
-        yield tag, deleted, size, qmode, cfg
-
-
-def minor_count(preset: str) -> int:
-    """Exact count of lifting generators for a preset.
+    """Per liftability matrix of a preset: (tag, deleted, size, qmode, cfg,
+    count), count being its number of descriptors.
 
     A minor position is a choice of `size` columns (for square matrices the
     omitted rows are the positionally matching ones, so positions are in
@@ -255,74 +250,61 @@ def minor_count(preset: str) -> int:
     """
     if preset not in PRESET_MINOR_RECIPES:
         raise LiftingError(f"unknown lifting preset {preset!r}")
-    total = 0
-    for _tag, _deleted, size, qmode, cfg in _recipe_matrices(preset):
-        ncols = len(cfg.nonloop_points)
-        positions = comb(ncols, size)
-        assignments = 3 ** ncols if qmode == "basis" else 1
-        total += positions * assignments
-    return total
+    for tag, deleted, size, qmode in PRESET_MINOR_RECIPES[preset]:
+        cfg = _matrix_config(preset, deleted)
+        count = comb(cfg.d, size) * (3 ** cfg.d if qmode == "basis" else 1)
+        yield tag, deleted, size, qmode, cfg, count
 
 
-def _positions(n_rows: int, n_cols: int, size: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Minor positions: column choices, rows matched positionally.
+def minor_count(preset: str) -> int:
+    """Exact count of lifting generators for a preset."""
+    return sum(m[-1] for m in _recipe_matrices(preset))
+
+
+def _minor_rows(cfg: Config, size: int, cols: tuple[int, ...]) -> tuple[int, ...]:
+    """The rows matched to a column choice.
 
     For an r x c matrix with r == size, rows are all of them; for a square
     matrix with r == c > size, the rows omitted are those with the same
     indices as the omitted columns.
     """
-    for cols in combinations(range(n_cols), size):
-        if n_rows == size:
-            rows = tuple(range(n_rows))
-        elif n_rows == n_cols:
-            rows = cols
-        else:
-            raise LiftingError("ambiguous minor position for this shape")
-        yield rows, cols
+    n_rows = len(cfg.circuits3())
+    if n_rows == size:
+        return tuple(range(n_rows))
+    if n_rows == cfg.d:
+        return cols
+    raise LiftingError("ambiguous minor position for this shape")
 
 
 def iter_descriptors(preset: str, limit: Optional[int] = None) -> Iterator[MinorDescriptor]:
     """Stream lifting generator descriptors in deterministic order."""
-    if preset not in PRESET_MINOR_RECIPES:
-        raise LiftingError(f"unknown lifting preset {preset!r}")
     emitted = 0
-    for tag, deleted, size, qmode, cfg in _recipe_matrices(preset):
-        n_rows = len(cfg.circuits3())
-        n_cols = cfg.d
-        for rows, cols in _positions(n_rows, n_cols, size):
+    for tag, deleted, size, qmode, cfg, _count in _recipe_matrices(preset):
+        for cols in combinations(range(cfg.d), size):
+            rows = _minor_rows(cfg, size, cols)
             if qmode == "symbolic":
                 assigns: Iterable = [None]
             else:
-                assigns = product((1, 2, 3), repeat=n_cols)
+                assigns = product((1, 2, 3), repeat=cfg.d)
             for a in assigns:
-                yield MinorDescriptor(preset, tag, deleted, rows, cols, a)
-                emitted += 1
                 if limit is not None and emitted >= limit:
                     return
+                yield MinorDescriptor(preset, tag, deleted, rows, cols, a)
+                emitted += 1
 
 
 def sample_descriptors(preset: str, count: int, seed: int) -> list[MinorDescriptor]:
     """Uniform sample (with replacement) from the descriptor space."""
     rng = random.Random(seed)
     matrices = list(_recipe_matrices(preset))
-    weights = []
-    for _tag, _deleted, size, qmode, cfg in matrices:
-        positions = comb(cfg.d, size)
-        weights.append(positions * (3 ** cfg.d if qmode == "basis" else 1))
+    weights = [m[-1] for m in matrices]
     out = []
     for _ in range(count):
-        (tag, deleted, size, qmode, cfg), = rng.choices(matrices, weights=weights, k=1)
-        n_rows = len(cfg.circuits3())
+        (tag, deleted, size, qmode, cfg, _count), = rng.choices(matrices, weights=weights, k=1)
         cols = tuple(sorted(rng.sample(range(cfg.d), size)))
-        rows = tuple(range(n_rows)) if n_rows == size else cols
         assign = None if qmode == "symbolic" else tuple(rng.randrange(1, 4) for _ in range(cfg.d))
-        out.append(MinorDescriptor(preset, tag, deleted, rows, cols, assign))
+        out.append(MinorDescriptor(preset, tag, deleted, _minor_rows(cfg, size, cols), cols, assign))
     return out
-
-
-def _descriptor_config(desc: MinorDescriptor) -> Config:
-    base = _preset_config(desc.preset)
-    return base if desc.deleted is None else base.delete({desc.deleted})
 
 
 def descriptor_matrix(desc: MinorDescriptor) -> LiftMatrix:
@@ -331,7 +313,7 @@ def descriptor_matrix(desc: MinorDescriptor) -> LiftMatrix:
         scheme = QScheme.symbolic()
     else:
         scheme = QScheme.per_col(tuple(BASIS[i - 1] for i in desc.q_assignment))
-    return lift_matrix(_descriptor_config(desc), scheme)
+    return lift_matrix(_matrix_config(desc.preset, desc.deleted), scheme)
 
 
 def eval_descriptor(
@@ -347,7 +329,7 @@ def eval_descriptor(
         raise ValueError("minor needs equally many rows and columns")
     if not desc.rows:
         raise ValueError("empty minor")
-    cfg = _descriptor_config(desc)
+    cfg = _matrix_config(desc.preset, desc.deleted)
     if desc.q_assignment is not None:
         q_cols = tuple(BASIS[i - 1] for i in desc.q_assignment)
     elif q is None:
@@ -359,17 +341,6 @@ def eval_descriptor(
 
 # ---------------------------------------------------------------------------
 # Lifting dimensions
-
-
-def in_circuit_variety_raw(cfg: Config, gamma: Realization) -> bool:
-    for c in cfg.circuits3():
-        a, b, d = sorted(c)
-        if det3(gamma.col(a), gamma.col(b), gamma.col(d)) != 0:
-            return False
-    for p in cfg.loops:
-        if any(gamma.col(p)):
-            return False
-    return True
 
 
 def q_general_position(cfg: Config, gamma: Realization, q: Vec3) -> bool:
@@ -388,12 +359,19 @@ def q_general_position(cfg: Config, gamma: Realization, q: Vec3) -> bool:
     return True
 
 
-def lift_dim(cfg: Config, gamma: Realization, q: Vec3) -> int:
+def _check_lifting_input(cfg: Config, gamma: Realization, q: Vec3) -> None:
     cfg._require_simple()
-    if not in_circuit_variety_raw(cfg, gamma):
-        raise LiftingError("realization violates a circuit of the configuration")
+    if gamma.d != cfg.d:
+        raise LiftingError("realization size does not match configuration")
+    ok, witness = in_circuit_variety(cfg, gamma)
+    if not ok:
+        raise LiftingError(f"realization violates a circuit of the configuration: {witness}")
     if not q_general_position(cfg, gamma, q):
         raise LiftingError("q is not in general position for this realization")
+
+
+def lift_dim(cfg: Config, gamma: Realization, q: Vec3) -> int:
+    _check_lifting_input(cfg, gamma, q)
     numeric = _numeric_rows(cfg, gamma, (q,) * cfg.d)
     if not numeric:
         return cfg.d
@@ -416,13 +394,9 @@ def construct_lifting(cfg: Config, gamma: Realization, q: Vec3) -> Optional[Real
     collection has maximal rank, skipping the trivial (rank <= 2) liftings;
     returns None when every kernel vector lifts degenerately.
     """
-    cfg._require_simple()
+    _check_lifting_input(cfg, gamma, q)
     if gamma.rank() > 2:
         raise LiftingError("construct_lifting expects a planar (rank <= 2) collection")
-    if not in_circuit_variety_raw(cfg, gamma):
-        raise LiftingError("realization violates a circuit of the configuration")
-    if not q_general_position(cfg, gamma, q):
-        raise LiftingError("q is not in general position for this realization")
     numeric = _numeric_rows(cfg, gamma, (q,) * cfg.d)
     kernel = (
         kernel_basis(numeric)
@@ -438,8 +412,9 @@ def construct_lifting(cfg: Config, gamma: Realization, q: Vec3) -> Optional[Real
             best, best_rank = lifted, r
     if best is None:
         return None
-    if not in_circuit_variety_raw(cfg, best):
-        raise LiftingError("lifted collection violates a circuit; kernel not exact")
+    ok, witness = in_circuit_variety(cfg, best)
+    if not ok:
+        raise LiftingError(f"lifted collection violates a circuit; kernel not exact: {witness}")
     return best
 
 
@@ -454,60 +429,4 @@ def trivial_lifting_dim(cfg: Config, gamma: Realization, q: Vec3) -> int:
             span.append(list(z))
     if not span:
         return 0
-    from .linalg import rank as mat_rank
-
-    return mat_rank(span)
-
-
-def extend_point_deg_le2(
-    cfg: Config,
-    gamma_rest: Realization,
-    lifted_rest: Realization,
-    p: int,
-    q: Vec3,
-    target_line: Sequence[int],
-) -> Vec3:
-    """Place the new point p of degree <= 2 compatibly with a lifting.
-
-    gamma_rest and lifted_rest are realizations of cfg with column p ignored
-    (its value is irrelevant); returns the new column for p.  Degree 0/1:
-    a point on the lifted target line (or the lifted first basis direction
-    when p lies on no line).  Degree 2: the projection from q onto the
-    lifted target line of the meet of p's two lifted lines.
-    """
-    cfg._require_simple()
-    deg = cfg.degree(p)
-    if deg >= 3:
-        raise LiftingError(
-            "non-constructive case: extension of a point of degree >= 3 "
-            "requires the nilpotent-extension hypothesis check"
-        )
-    lines = cfg.lines_through(p)
-    if deg == 0:
-        return vec3(1, 0, 0)
-    if deg == 1:
-        l = lines[0]
-        others = [x for x in l if x != p][:2]
-        a, b = lifted_rest.col(others[0]), lifted_rest.col(others[1])
-        return vadd(a, b)
-    l1, l2 = lines
-    a1, a2 = (lifted_rest.col(x) for x in [x for x in l1 if x != p][:2])
-    b1, b2 = (lifted_rest.col(x) for x in [x for x in l2 if x != p][:2])
-    meet_pt = meet_lines(a1, a2, b1, b2)
-    if target_line is not None and set(target_line) != set(l1) and set(target_line) != set(l2):
-        # project the meet from q onto the realized target line
-        t = [x for x in target_line if x != p][:2]
-        return meet_lines(meet_pt, q, lifted_rest.col(t[0]), lifted_rest.col(t[1]))
-    return meet_pt
-
-
-def nilpotent_extension_hypothesis(cfg: Config, p: int) -> tuple[bool, int]:
-    """Check dim(cfg minus p) >= 1 + deg(p); returns (verdict, margin)."""
-    cfg._require_simple()
-    deg = cfg.degree(p)
-    rest = cfg.delete({p})
-    ordering = admissible_ordering(rest)
-    if ordering is None:
-        raise ConfigError("configuration minus the point is not nilpotent")
-    margin = ordering.dim - (1 + deg)
-    return margin >= 0, margin
+    return rank(span)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -228,10 +227,6 @@ class Realization:
         return json.dumps(rows)
 
     @staticmethod
-    def from_cols(cols: Sequence[Sequence]) -> "Realization":
-        return Realization(tuple(vec3(*c) for c in cols))
-
-    @staticmethod
     def from_json(text: str) -> "Realization":
         rows = json.loads(text)
         if len(rows) != 3:
@@ -245,27 +240,3 @@ class Realization:
 
 def _frac_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-# ---------------------------------------------------------------------------
-# Generic sampling
-
-DEFAULT_RANGE = 50
-RETRY_CAP = 100
-
-
-def random_vec3(rng: random.Random, bound: int = DEFAULT_RANGE) -> Vec3:
-    return vec3(
-        rng.randint(-bound, bound),
-        rng.randint(-bound, bound),
-        rng.randint(-bound, bound),
-    )
-
-
-def sample_until(rng: random.Random, make, ok, cap: int = RETRY_CAP):
-    """Draw make(rng) until ok(value); raise after `cap` failed attempts."""
-    for _ in range(cap):
-        value = make(rng)
-        if ok(value):
-            return value
-    raise RuntimeError(f"generic sampling failed after {cap} attempts")

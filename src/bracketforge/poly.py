@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .linalg import Realization, Vec3, det_exact, vec3
 
@@ -119,9 +119,6 @@ class BracketPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def nterms(self) -> int:
-        return len(self.terms)
 
     def total_degree(self) -> int:
         if not self.terms:

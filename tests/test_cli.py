@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 
+import pytest
+
 from bracketforge.cli import main
 
 
@@ -96,3 +98,66 @@ def test_output_deterministic():
     a = run(["describe", "--config", "pascal"])
     b = run(["describe", "--config", "pascal"])
     assert a == b
+
+
+def test_lifting_count_only_is_json():
+    code, doc = run(["generators", "--config", "pascal", "--family", "lifting", "--count-only"])
+    assert code == 0
+    assert doc == {"config": "pascal", "families": {"lifting": {"count": 708_588}}}
+
+
+def test_lifting_limit_zero_lists_nothing():
+    code, doc = run(["generators", "--config", "pascal", "--family", "lifting", "--limit", "0"])
+    assert code == 0 and doc["families"]["lifting"]["descriptors"] == []
+
+
+BAD_JSON_CONFIGS = {
+    "top-level-list": "[[1, 2, 3]]",
+    "missing-d": '{"lines": []}',
+    "string-label": '{"d": 3, "lines": [[1, 2, "x"]]}',
+    "nested-loop": '{"d": 3, "loops": [[1]]}',
+    "d-zero": '{"d": 0}',
+    "malformed": '{"d": 3,',
+}
+
+
+SUBCOMMANDS = ("describe", "cactus-check", "ordering", "lift-matrix", "generators",
+               "verify", "decompose", "replay-counterexample")
+TAKE_CONFIG = {"describe", "cactus-check", "ordering", "lift-matrix", "generators", "decompose"}
+BAD_FLAGS = {
+    "negative-limit": ["--limit", "-1"],
+    "zero-limit": ["--limit", "0"],
+    "negative-depth": ["--depth", "-1"],
+    "zero-samples": ["--samples", "0"],
+    "seed": ["--seed", "1"],
+}
+BAD_INPUTS = (["unknown-preset", "non-cactus"] + [f"json:{n}" for n in sorted(BAD_JSON_CONFIGS)]
+              + sorted(BAD_FLAGS))
+# combinations where the input is valid for that subcommand
+VALID = ({("verify", "seed"), ("generators", "zero-limit")}
+         | {(s, "non-cactus") for s in TAKE_CONFIG - {"decompose"}})
+
+
+@pytest.mark.parametrize(
+    "command,bad",
+    [(s, b) for s in SUBCOMMANDS for b in BAD_INPUTS if (s, b) not in VALID],
+)
+def test_cli_contract_bad_input(tmp_path, capsys, command, bad):
+    """Every bad input gives one JSON line on stdout, its exit code, and no traceback."""
+    if bad.startswith("json:"):
+        path = tmp_path / "cfg.json"
+        path.write_text(BAD_JSON_CONFIGS[bad[len("json:"):]])
+        argv = [command, "--config", str(path)]
+    elif bad in BAD_FLAGS:
+        argv = [command] + (["--config", "pascal"] if command in TAKE_CONFIG else []) + BAD_FLAGS[bad]
+    else:
+        argv = [command, "--config", {"unknown-preset": "no-such-thing", "non-cactus": "fano"}[bad]]
+    # a configuration that cannot be used is a violated hypothesis; an option
+    # out of range, or one the subcommand does not take, is a usage error
+    expected = 1 if command in TAKE_CONFIG and bad not in BAD_FLAGS else 2
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == expected
+    [line] = out.splitlines()
+    assert set(json.loads(line)) == {"error"}
+    assert err == ""

@@ -156,3 +156,20 @@ def test_qs_minors_separate_liftable_from_generic_collinear():
     assert any(
         m.minor_eval((0, 1, 2, 3), cols, generic) != 0 for cols in combinations(range(6), 4)
     )
+
+
+@pytest.mark.parametrize("d", [5, 7])
+@pytest.mark.parametrize("fn", [lift_dim, construct_lifting, trivial_lifting_dim])
+def test_realization_size_mismatch_is_lifting_error(fn, d):
+    """Fewer or more columns than the configuration has points."""
+    cfg = preset("line:6")
+    g = collinear_realization(preset(f"line:{d}"), seed=0)
+    with pytest.raises(LiftingError, match="size"):
+        fn(cfg, g, vec3(0, 0, 1))
+
+
+def test_construct_lifting_reports_circuit_witness():
+    cfg = preset("line:4")
+    g = Realization(tuple(vec3(1, i, i * i) for i in range(4)))  # not collinear
+    with pytest.raises(LiftingError, match=r"circuit \{1,2,3\}"):
+        construct_lifting(cfg, g, vec3(0, 0, 1))
