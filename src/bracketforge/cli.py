@@ -17,7 +17,6 @@ from . import harness, ideals, lifting
 from .config import (
     Config,
     ConfigError,
-    PRESET_NAMES,
     admissible_ordering,
     cactus_check,
     chains,
@@ -29,15 +28,12 @@ from .lifting import QScheme, lift_matrix, minor_count, sample_descriptors
 
 
 def load_config(source: str) -> Config:
+    path = Path(source)
     try:
         return preset(source)
-    except ConfigError:
-        pass
-    path = Path(source)
-    if not path.is_file():
-        raise ConfigError(
-            f"{source!r} is neither a preset ({', '.join(PRESET_NAMES)}) nor a file"
-        )
+    except ConfigError as exc:
+        if not path.is_file():
+            raise ConfigError(f"{source!r} is neither a usable preset nor a file: {exc}") from None
     return Config.from_json(path.read_text())
 
 

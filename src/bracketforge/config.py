@@ -578,12 +578,21 @@ _register_fixed()
 PRESET_NAMES = tuple(sorted(_FIXED_PRESETS)) + ("line:<n>", "cycle:<k>:<pts-per-line>")
 
 
+def _preset_params(name: str, form: str) -> list[int]:
+    """The integers of a parametrized preset name shaped like `form`."""
+    fields = name.split(":")[1:]
+    if len(fields) != form.count(":") or not all(f.isdecimal() for f in fields):
+        raise ConfigError(f"preset {name!r} does not have the form {form}")
+    return [int(f) for f in fields]
+
+
 def preset(name: str) -> Config:
+    """A named configuration; a malformed or unusable name is a ConfigError
+    that says why."""
     if name in _FIXED_PRESETS:
         return _FIXED_PRESETS[name]
     if name.startswith("line:"):
-        return _line_config(int(name.split(":")[1]))
+        return _line_config(*_preset_params(name, "line:<n>"))
     if name.startswith("cycle:"):
-        _, k, m = name.split(":")
-        return _cycle_config(int(k), int(m))
+        return _cycle_config(*_preset_params(name, "cycle:<k>:<pts-per-line>"))
     raise ConfigError(f"unknown preset {name!r}; known: {', '.join(PRESET_NAMES)}")

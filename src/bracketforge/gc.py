@@ -1,6 +1,7 @@
 """Symbolic Grassmann-Cayley algebra over a 3-space on point symbols.
 
-Two representation layers:
+Two representation layers, both subclasses of poly.LinearCombination, which
+owns the coefficients, the ring operations, equality and the printer:
 
 * BracketCombo - a formal Q-linear combination of products of brackets
   [i j k] on point symbols.  This layer keeps the shape in which such
@@ -24,15 +25,14 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .config import Config
 from .linalg import det3
-from .poly import BracketPoly, bracket
+from .poly import BracketPoly, LinearCombination, bracket, sort_sign
 
 # A bracket triple is stored sorted ascending; a combo monomial is a sorted
 # tuple of such triples.
-Triple = tuple
 ComboMono = tuple
 
 
@@ -40,100 +40,31 @@ class GradeError(ValueError):
     pass
 
 
-def _sort_triple(a: int, b: int, c: int) -> tuple[Optional[Triple], int]:
-    """Canonical (sorted triple, permutation sign); (None, 0) if repeated."""
-    if a == b or a == c or b == c:
-        return None, 0
-    t = (a, b, c)
-    s = sorted(t)
-    sign = 1
-    # parity of the permutation taking t to sorted order
-    perm = [s.index(v) for v in t]
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return tuple(s), sign
+def _combo_mono_mul(a: ComboMono, b: ComboMono) -> ComboMono:
+    return tuple(sorted(a + b))
 
 
-class BracketCombo:
+class BracketCombo(LinearCombination):
     """Formal Q-linear combination of products of point brackets."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for m, c in terms.items():
-                if c:
-                    clean[m] = Fraction(c)
-        self.terms = clean
-
-    @staticmethod
-    def zero() -> "BracketCombo":
-        return BracketCombo()
-
-    @staticmethod
-    def const(c) -> "BracketCombo":
-        c = Fraction(c)
-        return BracketCombo({(): c} if c else {})
+    __slots__ = ()
 
     @staticmethod
     def of_bracket(a: int, b: int, c: int) -> "BracketCombo":
-        t, sign = _sort_triple(a, b, c)
+        t, sign = sort_sign((a, b, c))
         if t is None:
-            return BracketCombo()
-        return BracketCombo({(t,): Fraction(sign)})
-
-    def __add__(self, other: "BracketCombo") -> "BracketCombo":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, Fraction(0)) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return BracketCombo(out)
-
-    def __neg__(self) -> "BracketCombo":
-        return BracketCombo({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "BracketCombo") -> "BracketCombo":
-        return self + (-other)
+            return BracketCombo.zero()
+        return BracketCombo._of({(t,): Fraction(sign)})
 
     def __mul__(self, other: "BracketCombo") -> "BracketCombo":
-        out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(sorted(m1 + m2))
-                s = out.get(m, Fraction(0)) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        return BracketCombo(out)
+        return self._product(other, _combo_mono_mul)
 
-    def scale(self, c) -> "BracketCombo":
-        c = Fraction(c)
-        return BracketCombo({m: c * k for m, k in self.terms.items()}) if c else BracketCombo()
-
-    def is_zero(self) -> bool:
-        return not self.terms
+    @staticmethod
+    def _body(m: ComboMono) -> str:
+        return "".join("[" + " ".join(map(str, t)) + "]" for t in m)
 
     def points(self) -> set[int]:
         return {p for m in self.terms for t in m for p in t}
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BracketCombo) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def sign_normalized(self) -> "BracketCombo":
-        if not self.terms:
-            return self
-        lead = min(self.terms)
-        return -self if self.terms[lead] < 0 else self
 
     def expand(self) -> BracketPoly:
         out = BracketPoly.zero()
@@ -159,21 +90,6 @@ class BracketCombo:
                 c *= v
             total += c
         return total
-
-    def to_text(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for m in sorted(self.terms):
-            c = self.terms[m]
-            body = "".join("[" + " ".join(map(str, t)) + "]" for t in m) or "1"
-            lead = body if abs(c) == 1 and m else f"{abs(c)}*{body}"
-            parts.append(("- " if c < 0 else "+ ") + lead)
-        text = " ".join(parts)
-        return text[2:] if text.startswith("+ ") else "-" + text[2:]
-
-    def __repr__(self):
-        return f"BracketCombo({self.to_text()})"
 
 
 _TOKEN = re.compile(r"\s*(?:\[([^\]]*)\]|(\d+(?:/\d+)?)|([-+*]))")
@@ -264,19 +180,6 @@ def line_expr(a: int, b: int) -> GCExpr:
     return GCExpr.make(2, {tuple(sorted((a, b))): BracketCombo.const(sign)})
 
 
-def _merge_symbols(s1: Sequence[int], s2: Sequence[int]):
-    merged = list(s1) + list(s2)
-    if len(set(merged)) < len(merged):
-        return None, 0
-    sign = 1
-    order = sorted(range(len(merged)), key=lambda i: merged[i])
-    for i in range(len(order)):
-        for j in range(i + 1, len(order)):
-            if order[i] > order[j]:
-                sign = -sign
-    return tuple(sorted(merged)), sign
-
-
 def join(a: GCExpr, b: GCExpr) -> GCExpr:
     """Exterior product; grade-3 results collapse to scalar brackets."""
     g = a.grade + b.grade
@@ -285,7 +188,7 @@ def join(a: GCExpr, b: GCExpr) -> GCExpr:
     out: dict = {}
     for s1, c1 in a.terms:
         for s2, c2 in b.terms:
-            sym, sign = _merge_symbols(s1, s2)
+            sym, sign = sort_sign(s1 + s2)
             if sym is None:
                 continue
             coeff = (c1 * c2).scale(sign)
@@ -364,19 +267,16 @@ def gm_rewrite_combo(
     minus = BracketCombo.of_bracket(p1, p2, p4)
     out = BracketCombo.zero()
     for m, c in combo.terms.items():
-        acc = BracketCombo.const(c)
+        # brackets without x carry over; a subsequence of m is still sorted
+        acc = BracketCombo({tuple(t for t in m if x not in t): c})
         for t in m:
             if x in t:
                 rest = [p for p in t if p != x]
-                pos = t.index(x)
-                sign = (-1) ** pos  # move x to the front
-                b = (
+                sign = (-1) ** t.index(x)  # move x to the front
+                acc = acc * (
                     plus * BracketCombo.of_bracket(p4, *rest)
                     - minus * BracketCombo.of_bracket(p3, *rest)
                 ).scale(sign)
-            else:
-                b = BracketCombo({(t,): Fraction(1)})
-            acc = acc * b
         out = out + acc
     return out
 

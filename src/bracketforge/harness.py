@@ -108,11 +108,12 @@ def _rand_frac(rng: random.Random, bound: int = 12) -> Fraction:
     return Fraction(num, den)
 
 
-def _retrying(make, check, seed: int) -> Realization:
+def _retrying(make: Callable[[random.Random], Optional[Realization]], seed: int) -> Realization:
+    """The first draw make(rng) accepts; make returns None to reject one."""
     rng = random.Random(seed)
     for _ in range(RETRY_CAP):
         gamma = make(rng)
-        if gamma is not None and check(gamma):
+        if gamma is not None:
             return gamma
     raise FixtureError("no valid sample found within the retry cap")
 
@@ -142,9 +143,10 @@ def pappus_realization(seed: int = 0) -> Realization:
             p[9] = meet_lines(p[2], p[6], p[3], p[5])
         except ValueError:
             return None
-        return Realization(tuple(p[i] for i in range(1, 10)))
+        gamma = Realization(tuple(p[i] for i in range(1, 10)))
+        return gamma if in_realization_space(cfg, gamma)[0] else None
 
-    return _retrying(make, lambda g: in_realization_space(cfg, g)[0], seed)
+    return _retrying(make, seed)
 
 
 def pascal_family(
@@ -184,7 +186,7 @@ def pascal_family_sample(seed: int = 0) -> Realization:
         except FixtureError:
             return None
 
-    return _retrying(attempt, lambda g: True, seed)
+    return _retrying(attempt, seed)
 
 
 # Columns of the 8-point family below are indexed, left to right, by the
@@ -478,6 +480,8 @@ def cactus_realization(cfg: Config, seed: int = 0) -> Realization:
     ordering = admissible_ordering(cfg)
     if ordering is None:
         raise FixtureError("cactus configuration should be nilpotent")
+    # a configuration with no independent triple (a single line) realizes in rank 2
+    want_rank = 3 if cfg.bases() else 2
 
     def attempt(rng: random.Random) -> Optional[Realization]:
         placed: dict[int, Vec3] = {}
@@ -494,13 +498,11 @@ def cactus_realization(cfg: Config, seed: int = 0) -> Realization:
                 a, b = placed[constraining[0]], placed[constraining[1]]
                 t = _rand_frac(rng)
                 placed[p] = vec3(*(x + t * y for x, y in zip(a, b)))
-        return Realization(tuple(placed[i] for i in range(1, cfg.d + 1)))
+        gamma = Realization(tuple(placed[i] for i in range(1, cfg.d + 1)))
+        ok = in_realization_space(cfg, gamma)[0] and gamma.rank() == want_rank
+        return gamma if ok else None
 
-    # a configuration with no independent triple (a single line) realizes in rank 2
-    want_rank = 3 if cfg.bases() else 2
-    return _retrying(
-        attempt, lambda g: in_realization_space(cfg, g)[0] and g.rank() == want_rank, seed
-    )
+    return _retrying(attempt, seed)
 
 
 def _complete_quadrilateral(rng: random.Random) -> Optional[Realization]:
@@ -523,7 +525,7 @@ def _complete_quadrilateral(rng: random.Random) -> Optional[Realization]:
 
 def qs_realization(seed: int = 0) -> Realization:
     """A generic rank-3 realization of the complete quadrilateral."""
-    return _retrying(_complete_quadrilateral, lambda g: g.rank() == 3, seed)
+    return _retrying(_complete_quadrilateral, seed)
 
 
 def quadrilateral_set_flat(seed: int = 0) -> Realization:
@@ -557,7 +559,7 @@ def quadrilateral_set_flat(seed: int = 0) -> Realization:
             return None
         return flat
 
-    return _retrying(attempt, lambda g: g.rank() == 2, seed)
+    return _retrying(attempt, seed)
 
 
 def collinear_realization(cfg: Config, seed: int = 0) -> Realization:
@@ -571,17 +573,15 @@ def collinear_realization(cfg: Config, seed: int = 0) -> Realization:
         for _ in range(cfg.d):
             t = _rand_frac(rng)
             cols.append(vec3(*(x + t * y for x, y in zip(a, b))))
-        return Realization(tuple(cols))
-
-    def ok(g: Realization) -> bool:
-        if g.rank() != 2:
-            return False
+        gamma = Realization(tuple(cols))
+        if gamma.rank() != 2:
+            return None
         for i, j in combinations(range(1, cfg.d + 1), 2):
-            if cross(g.col(i), g.col(j)) == ZERO3:
-                return False
-        return True
+            if cross(gamma.col(i), gamma.col(j)) == ZERO3:
+                return None
+        return gamma
 
-    return _retrying(attempt, ok, seed)
+    return _retrying(attempt, seed)
 
 
 def generic_q(gamma: Realization, seed: int, cfg: Config) -> Vec3:

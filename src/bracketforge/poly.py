@@ -9,13 +9,16 @@ columns.
 Variables are keyed for sorting by (column, row) with the q vector last, and
 monomials are compared graded-lex, so every polynomial has one canonical
 serialized form.
+
+`LinearCombination` is the sparse Q-linear-combination core shared with
+gc.BracketCombo; `sort_sign` is the one permutation sign of the package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Mapping, Optional, Sequence, Union
 
 from .linalg import Realization, Vec3, det_exact, vec3
@@ -51,74 +54,150 @@ def var_str(v: Var) -> str:
     return f"q{v[1] + 1}"
 
 
-class BracketPoly:
-    """Immutable sparse polynomial over Q; zero polynomial has no terms."""
+def sort_sign(items: Sequence) -> tuple[Optional[tuple], int]:
+    """(items sorted ascending, sign of the sorting permutation).
+
+    A repeated item gives (None, 0): an alternating form of it vanishes.
+    """
+    ordered = tuple(sorted(items))
+    if len(set(ordered)) < len(ordered):
+        return None, 0
+    inversions = sum(a > b for a, b in combinations(items, 2))
+    return ordered, -1 if inversions % 2 else 1
+
+
+class LinearCombination:
+    """Immutable sparse Q-linear combination of monomials.
+
+    `terms` maps each monomial to its nonzero Fraction coefficient; the empty
+    monomial () is the constant 1.  A subclass says what a monomial is: its
+    product (passed to `_product`), its term order (`_order_key`, largest
+    first if `_descending`; the first term in that order is the leading
+    term) and how one monomial prints (`_body`).
+    """
 
     __slots__ = ("terms",)
+    _order_key = None
+    _descending = False
 
-    def __init__(self, terms: Optional[Mapping[Monomial, Fraction]] = None):
-        clean = {}
-        if terms:
-            for m, c in terms.items():
-                if c:
-                    clean[m] = Fraction(c)
-        self.terms = clean
+    def __init__(self, terms: Optional[Mapping] = None):
+        self.terms = {m: Fraction(c) for m, c in terms.items() if c} if terms else {}
+
+    @classmethod
+    def _of(cls, terms: dict):
+        """Wrap a dict that already holds only nonzero Fractions."""
+        out = object.__new__(cls)
+        out.terms = terms
+        return out
 
     # -- construction --------------------------------------------------
 
-    @staticmethod
-    def zero() -> "BracketPoly":
-        return BracketPoly()
+    @classmethod
+    def zero(cls):
+        return cls._of({})
 
-    @staticmethod
-    def const(c) -> "BracketPoly":
+    @classmethod
+    def const(cls, c):
         c = Fraction(c)
-        return BracketPoly({(): c} if c else {})
-
-    @staticmethod
-    def variable(v: Var) -> "BracketPoly":
-        return BracketPoly({((v, 1),): Fraction(1)})
+        return cls._of({(): c} if c else {})
 
     # -- ring operations -------------------------------------------------
 
-    def __add__(self, other: "BracketPoly") -> "BracketPoly":
+    def __add__(self, other):
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m, Fraction(0)) + c
+            s = out.get(m, 0) + c
             if s:
                 out[m] = s
             else:
-                out.pop(m, None)
-        return BracketPoly(out)
+                del out[m]
+        return self._of(out)
 
-    def __neg__(self) -> "BracketPoly":
-        return BracketPoly({m: -c for m, c in self.terms.items()})
+    def __neg__(self):
+        return self._of({m: -c for m, c in self.terms.items()})
 
-    def __sub__(self, other: "BracketPoly") -> "BracketPoly":
+    def __sub__(self, other):
         return self + (-other)
 
-    def __mul__(self, other: "BracketPoly") -> "BracketPoly":
+    def _product(self, other, mono_mul):
         out: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
-                s = out.get(m, Fraction(0)) + c1 * c2
+                m = mono_mul(m1, m2)
+                s = out.get(m, 0) + c1 * c2
                 if s:
                     out[m] = s
                 else:
-                    out.pop(m, None)
-        return BracketPoly(out)
+                    del out[m]
+        return self._of(out)
 
-    def scale(self, c) -> "BracketPoly":
+    def scale(self, c):
         c = Fraction(c)
-        if not c:
-            return BracketPoly()
-        return BracketPoly({m: c * k for m, k in self.terms.items()})
+        return self._of({m: c * k for m, k in self.terms.items()} if c else {})
 
-    # -- queries -----------------------------------------------------------
+    # -- comparison ------------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def eq_up_to_sign(self, other) -> bool:
+        return self == other or self == -other
+
+    def _leading(self):
+        pick = max if self._descending else min
+        return pick(self.terms, key=self._order_key)
+
+    def sign_normalized(self):
+        """Negated if needed so the leading coefficient is > 0."""
+        return -self if self.terms and self.terms[self._leading()] < 0 else self
+
+    # -- printing ----------------------------------------------------------
+
+    def to_text(self) -> str:
+        if not self.terms:
+            return "0"
+        parts = []
+        for m in sorted(self.terms, key=self._order_key, reverse=self._descending):
+            c = self.terms[m]
+            if not m:
+                lead = str(abs(c))
+            elif abs(c) == 1:
+                lead = self._body(m)
+            else:
+                lead = f"{abs(c)}*{self._body(m)}"
+            parts.append(("- " if c < 0 else "+ ") + lead)
+        text = " ".join(parts)
+        return text[2:] if text.startswith("+ ") else "-" + text[2:]
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.to_text()})"
+
+
+class BracketPoly(LinearCombination):
+    """Polynomial in the matrix entries; terms ordered graded-lex."""
+
+    __slots__ = ()
+    _order_key = staticmethod(_mono_key)
+    _descending = True
+
+    @staticmethod
+    def variable(v: Var) -> "BracketPoly":
+        return BracketPoly._of({((v, 1),): Fraction(1)})
+
+    def __mul__(self, other: "BracketPoly") -> "BracketPoly":
+        return self._product(other, _mono_mul)
+
+    @staticmethod
+    def _body(m: Monomial) -> str:
+        return "*".join(var_str(v) + (f"^{e}" if e > 1 else "") for v, e in m)
+
+    # -- queries -----------------------------------------------------------
 
     def total_degree(self) -> int:
         if not self.terms:
@@ -137,24 +216,8 @@ class BracketPoly:
     def columns(self) -> set:
         return {v[1] for v in self.variables() if v[0] == "x"}
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BracketPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def eq_up_to_sign(self, other: "BracketPoly") -> bool:
-        return self == other or self == -other
-
     def leading_coeff(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
-        m = max(self.terms, key=_mono_key)
-        return self.terms[m]
-
-    def sign_normalized(self) -> "BracketPoly":
-        """Negated if needed so the graded-lex leading coefficient is > 0."""
-        return -self if self.leading_coeff() < 0 else self
+        return self.terms[self._leading()] if self.terms else Fraction(0)
 
     # -- evaluation --------------------------------------------------------
 
@@ -174,29 +237,6 @@ class BracketPoly:
                 t *= value(v) ** e
             total += t
         return total
-
-    # -- printing ----------------------------------------------------------
-
-    def to_text(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for m in sorted(self.terms, key=_mono_key, reverse=True):
-            c = self.terms[m]
-            factors = []
-            for v, e in m:
-                factors.append(var_str(v) + (f"^{e}" if e > 1 else ""))
-            body = "*".join(factors) if factors else "1"
-            if abs(c) == 1 and factors:
-                lead = body
-            else:
-                lead = f"{abs(c)}*{body}" if factors else str(abs(c))
-            parts.append(("- " if c < 0 else "+ ") + lead)
-        text = " ".join(parts)
-        return text[2:] if text.startswith("+ ") else "-" + text[2:]
-
-    def __repr__(self):
-        return f"BracketPoly({self.to_text()})"
 
 
 # ---------------------------------------------------------------------------
@@ -253,22 +293,11 @@ def bracket(c1: ColumnLike, c2: ColumnLike, c3: ColumnLike) -> BracketPoly:
         return BracketPoly.zero()
     out = BracketPoly.zero()
     for perm in permutations(range(3)):
-        sign = _perm_sign(perm)
-        term = BracketPoly.const(sign)
+        term = BracketPoly.const(sort_sign(perm)[1])
         for col, row in enumerate(perm):
             term = term * cols[col].entry(row)
         out = out + term
     return out
-
-
-def _perm_sign(perm: Sequence[int]) -> int:
-    inv = sum(
-        1
-        for i in range(len(perm))
-        for j in range(i + 1, len(perm))
-        if perm[i] > perm[j]
-    )
-    return -1 if inv % 2 else 1
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +327,7 @@ def symbolic_minor(entries: PolyMatrix, rows: Sequence[int], cols: Sequence[int]
     k = len(sub)
     out = BracketPoly.zero()
     for perm in permutations(range(k)):
-        term = BracketPoly.const(_perm_sign(perm))
+        term = BracketPoly.const(sort_sign(perm)[1])
         for i in range(k):
             term = term * sub[i][perm[i]]
             if term.is_zero():

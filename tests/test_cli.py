@@ -131,7 +131,17 @@ BAD_FLAGS = {
     "zero-samples": ["--samples", "0"],
     "seed": ["--seed", "1"],
 }
-BAD_INPUTS = (["unknown-preset", "non-cactus"] + [f"json:{n}" for n in sorted(BAD_JSON_CONFIGS)]
+# configuration names that are not usable presets
+BAD_NAMES = {
+    "unknown-preset": "no-such-thing",
+    "non-cactus": "fano",
+    "preset:line:x": "line:x",
+    "preset:line:": "line:",
+    "preset:cycle:3": "cycle:3",
+    "preset:line:2": "line:2",
+    "preset:cycle:2:3": "cycle:2:3",
+}
+BAD_INPUTS = (sorted(BAD_NAMES) + [f"json:{n}" for n in sorted(BAD_JSON_CONFIGS)]
               + sorted(BAD_FLAGS))
 # combinations where the input is valid for that subcommand
 VALID = ({("verify", "seed"), ("generators", "zero-limit")}
@@ -151,7 +161,7 @@ def test_cli_contract_bad_input(tmp_path, capsys, command, bad):
     elif bad in BAD_FLAGS:
         argv = [command] + (["--config", "pascal"] if command in TAKE_CONFIG else []) + BAD_FLAGS[bad]
     else:
-        argv = [command, "--config", {"unknown-preset": "no-such-thing", "non-cactus": "fano"}[bad]]
+        argv = [command, "--config", BAD_NAMES[bad]]
     # a configuration that cannot be used is a violated hypothesis; an option
     # out of range, or one the subcommand does not take, is a usage error
     expected = 1 if command in TAKE_CONFIG and bad not in BAD_FLAGS else 2
@@ -161,3 +171,15 @@ def test_cli_contract_bad_input(tmp_path, capsys, command, bad):
     [line] = out.splitlines()
     assert set(json.loads(line)) == {"error"}
     assert err == ""
+
+
+@pytest.mark.parametrize("name,reason", [
+    ("line:x", "line:<n>"),
+    ("line:", "line:<n>"),
+    ("cycle:3", "cycle:<k>:<pts-per-line>"),
+    ("line:2", "a line needs at least 3 points"),
+    ("cycle:2:3", "a cycle needs at least 3 lines"),
+])
+def test_malformed_preset_name_keeps_its_reason(name, reason):
+    code, doc = run(["describe", "--config", name])
+    assert code == 1 and reason in doc["error"]

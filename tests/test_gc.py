@@ -78,6 +78,16 @@ def test_parse_round_trip_multi_digit_labels(combo):
     assert parse_bracket_text(combo.to_text()) == combo
 
 
+def test_constant_terms_print_bare_and_parse_back():
+    assert BracketCombo.const(3).to_text() == "3"
+    assert BracketCombo.const(F(-1, 2)).to_text() == "-1/2"
+    mixed = BracketCombo.const(-2) + BracketCombo.of_bracket(1, 2, 3).scale(F(3, 4))
+    assert mixed.to_text() == "-2 + 3/4*[1 2 3]"
+    for combo in (BracketCombo.const(3), BracketCombo.const(F(-1, 2)), BracketCombo.const(1),
+                  mixed, BracketCombo.of_bracket(4, 5, 6) - BracketCombo.const(1)):
+        assert parse_bracket_text(combo.to_text()) == combo
+
+
 def test_parse_multi_digit_and_compact_forms():
     combo = parse_bracket_text("[1 2 10][3 11 12]")
     assert combo == BracketCombo.of_bracket(1, 2, 10) * BracketCombo.of_bracket(3, 11, 12)

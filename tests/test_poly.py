@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction as F
+from itertools import permutations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bracketforge.gc import BracketCombo
 from bracketforge.linalg import Realization, det3, vec3
 from bracketforge.poly import (
     BracketPoly,
@@ -11,6 +13,7 @@ from bracketforge.poly import (
     const_col,
     lazy_minor_eval,
     point,
+    sort_sign,
     symbolic_minor,
 )
 
@@ -103,3 +106,63 @@ def test_to_text_round_shape():
     text = p.to_text()
     assert "x[" in text and text == bracket(1, 2, 3).to_text()
     assert BracketPoly.zero().to_text() == "0"
+
+
+def test_sort_sign_matches_inversion_count():
+    for n in range(6):
+        for perm in permutations(range(n)):
+            inversions = sum(1 for i in range(n) for j in range(i) if perm[j] > perm[i])
+            assert sort_sign(perm) == (tuple(range(n)), (-1) ** inversions)
+            labels = [10 * p + 3 for p in perm]  # any ordered items, not only 0..n-1
+            assert sort_sign(labels) == (tuple(sorted(labels)), (-1) ** inversions)
+    assert sort_sign((3, 1, 3)) == (None, 0)
+    assert sort_sign((2, 2)) == (None, 0)
+
+
+small_coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+poly_atoms = st.one_of(
+    st.builds(lambda c: BracketPoly.const(c), small_coeffs),
+    st.builds(lambda i, j, k: bracket(i, j, k), *[st.integers(1, 4)] * 3),
+)
+combo_atoms = st.one_of(
+    st.builds(lambda c: BracketCombo.const(c), small_coeffs),
+    st.builds(lambda i, j, k: BracketCombo.of_bracket(i, j, k), *[st.integers(1, 4)] * 3),
+)
+OPS = ("+", "-", "neg", "*", "scale")
+
+
+def _combine(atoms, steps, scalars):
+    out = atoms[0]
+    for (op, i), c in zip(steps, scalars):
+        other = atoms[i % len(atoms)]
+        if op == "+":
+            out = out + other
+        elif op == "-":
+            out = out - other
+        elif op == "neg":
+            out = -out
+        elif op == "*":
+            out = out * other
+        else:
+            out = out.scale(c)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([poly_atoms, combo_atoms]).flatmap(
+        lambda atom: st.lists(atom, min_size=1, max_size=4)
+    ),
+    st.lists(st.tuples(st.sampled_from(OPS), st.integers(0, 3)), max_size=6),
+    st.lists(small_coeffs, min_size=6, max_size=6),
+)
+def test_ring_operations_keep_only_nonzero_fractions(atoms, steps, scalars):
+    out = _combine(atoms, steps, scalars)
+    assert type(out) is type(atoms[0])
+    assert all(type(c) is F and c != 0 for c in out.terms.values())
+
+
+def test_equality_needs_the_same_type():
+    assert BracketPoly.const(1) != BracketCombo.const(1)
+    assert BracketPoly.const(1).terms == BracketCombo.const(1).terms
+    assert BracketPoly.zero() != BracketCombo.zero()
