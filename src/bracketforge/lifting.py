@@ -372,10 +372,7 @@ def _check_lifting_input(cfg: Config, gamma: Realization, q: Vec3) -> None:
 
 def lift_dim(cfg: Config, gamma: Realization, q: Vec3) -> int:
     _check_lifting_input(cfg, gamma, q)
-    numeric = _numeric_rows(cfg, gamma, (q,) * cfg.d)
-    if not numeric:
-        return cfg.d
-    return len(kernel_basis(numeric))
+    return cfg.d - rank(_numeric_rows(cfg, gamma, (q,) * cfg.d))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """Exact rational linear algebra over Q^3.
 
-All arithmetic uses Fraction; there are no tolerances anywhere. Vectors are
-3-tuples of Fraction, matrices are lists of row lists.
+There are no tolerances anywhere. Vectors are 3-tuples of Fraction, and
+vector arithmetic runs on Fraction. Matrices are lists of row lists with int
+or Fraction entries. Rank, RREF, kernels and determinants clear each row's
+denominators and then eliminate on integer rows, fraction-free (Bareiss), so
+only their outputs are Fractions, and those are exact.
 """
 
 from __future__ import annotations
@@ -96,19 +99,39 @@ def meet_lines(a1: Vec3, a2: Vec3, b1: Vec3, b2: Vec3) -> Vec3:
 
 
 # ---------------------------------------------------------------------------
-# Generic exact matrices (rows of Fractions)
+# Generic exact matrices (rows of int or Fraction entries)
 
 
-def mat_copy(m: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in m]
+def _integer_rows(m: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """Each row of m times the lcm of its denominators, and the product of
+    those multipliers.  Scaling a row keeps the rank, the RREF and the kernel."""
+    cols = len(m[0]) if m else 0
+    a: list[list[int]] = []
+    scale = 1
+    for row in m:
+        if len(row) != cols:
+            raise ValueError("ragged matrix: rows have different lengths")
+        den = math.lcm(*(x.denominator for x in row))
+        a.append([x.numerator * (den // x.denominator) for x in row])
+        scale *= den
+    return a, scale
 
 
-def rref(m: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rref matrix, pivot column indices)."""
-    a = mat_copy(m)
+def _eliminate(a: list[list[int]], reduce: bool) -> list[int]:
+    """Fraction-free elimination of the integer rows a, in place; returns the
+    pivot columns.
+
+    Each step replaces a row by (p*row - f*pivot_row) // prev, where p is the
+    new pivot, f the row's entry in the pivot column and prev the previous
+    pivot.  Every entry stays an integer minor of the input, so the division
+    is exact (Bareiss).  Forward elimination clears below each pivot; with
+    `reduce` (Gauss-Jordan) it clears above too, and every pivot row ends with
+    the last pivot on its pivot column.
+    """
     rows = len(a)
     cols = len(a[0]) if rows else 0
     pivots: list[int] = []
+    prev = 1
     r = 0
     for c in range(cols):
         if r == rows:
@@ -117,22 +140,30 @@ def rref(m: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[in
         if pr is None:
             continue
         a[r], a[pr] = a[pr], a[r]
-        inv = Fraction(1, 1) / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
+        top = a[r]
+        p = top[c]
+        for i in range(0 if reduce else r + 1, rows):
+            if i != r:
                 f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], top)]
         pivots.append(c)
+        prev = p
         r += 1
-    return a, pivots
+    return pivots
+
+
+def rref(m: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form; returns (rref matrix, pivot column indices)."""
+    a, _ = _integer_rows(m)
+    pivots = _eliminate(a, reduce=True)
+    out = [[Fraction(x, row[c]) for x in row] for row, c in zip(a, pivots)]
+    out += [[Fraction(0)] * len(row) for row in a[len(pivots):]]
+    return out, pivots
 
 
 def rank(m: Sequence[Sequence[Fraction]]) -> int:
-    if not m:
-        return 0
-    _, pivots = rref(m)
-    return len(pivots)
+    a, _ = _integer_rows(m)
+    return len(_eliminate(a, reduce=False))
 
 
 def kernel_basis(m: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
@@ -140,14 +171,15 @@ def kernel_basis(m: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     if not m:
         return []
     cols = len(m[0])
-    a, pivots = rref(m)
+    a, _ = _integer_rows(m)
+    pivots = _eliminate(a, reduce=True)
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for fc in free:
         v = [Fraction(0)] * cols
         v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -a[r][fc]
+        for row, pc in zip(a, pivots):
+            v[pc] = Fraction(-row[fc], row[pc])
         basis.append(v)
     return basis
 
@@ -163,15 +195,7 @@ def det_exact(m: Sequence[Sequence[Fraction]]) -> Fraction:
         return Fraction(1)
     if any(len(row) != n for row in m):
         raise ValueError("determinant needs a square matrix")
-    a: list[list[int]] = []
-    scale = Fraction(1)
-    for row in m:
-        fr = [Fraction(x) for x in row]
-        den = 1
-        for x in fr:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-        scale /= den
-        a.append([int(x * den) for x in fr])
+    a, scale = _integer_rows(m)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -186,7 +210,7 @@ def det_exact(m: Sequence[Sequence[Fraction]]) -> Fraction:
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
             a[i][k] = 0
         prev = a[k][k]
-    return sign * scale * a[n - 1][n - 1]
+    return Fraction(sign * a[n - 1][n - 1], scale)
 
 
 def rank_vectors(vectors: Iterable[Vec3]) -> int:

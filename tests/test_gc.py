@@ -21,9 +21,10 @@ from bracketforge.gc import (
     meet,
     parse_bracket_text,
     point_expr,
+    rewrite_choices,
 )
 from bracketforge.harness import pascal_family_sample
-from bracketforge.linalg import Realization, cross, det3, proportional, vec3
+from bracketforge.linalg import Realization, cross, det3, proportional, vec3, vscale, vsub
 
 
 def rand_realization(rng, d):
@@ -168,6 +169,40 @@ def test_gm_rewrite_combo_and_poly_agree():
     r_combo = gm_rewrite_combo(combo, 8, (1, 6), (3, 4))
     r_poly = gm_rewrite(combo.expand(), 8, (1, 6), (3, 4))
     assert r_combo.expand().eq_up_to_sign(r_poly) or r_combo.expand() == r_poly
+
+
+def _meet_substituted(gamma, x, l1_pts, l2_pts):
+    """gamma with column x replaced by [p1 p2 p3] gamma_p4 - [p1 p2 p4] gamma_p3."""
+    (p1, p2), (p3, p4) = l1_pts, l2_pts
+    a, b, c3, c4 = (gamma.col(p) for p in (p1, p2, p3, p4))
+    meet_point = vsub(vscale(det3(a, b, c3), c4), vscale(det3(a, b, c4), c3))
+    return Realization(tuple(meet_point if i == x else gamma.col(i) for i in range(1, gamma.d + 1)))
+
+
+def test_gm_rewrite_combo_matches_numeric_substitution():
+    """Brackets are multilinear, so a rewrite's value at gamma is the value of
+    the original combination at gamma with gamma_x replaced by the meet.  Both
+    sides are evaluated as sums of det3 products, so the oracle multiplies no
+    combinations."""
+    cfg = preset("cycle:4:4")
+    rewrites = [
+        (c, x, l1, l2)
+        for c in gm_generators(cfg, depth=1)
+        for x, l1, l2 in rewrite_choices(cfg, sorted(c.points()))
+    ]
+    rng = random.Random(3)
+    points = [
+        Realization(tuple(vec3(*(rng.randint(-40, 40) for _ in range(3))) for _ in range(cfg.d)))
+        for _ in range(2)
+    ]
+    nonzero = 0
+    for c, x, l1, l2 in rng.sample(rewrites, 400):
+        r = gm_rewrite_combo(c, x, l1, l2)
+        for g in points:
+            value = r.eval(g)
+            assert value == c.eval(_meet_substituted(g, x, l1, l2))
+            nonzero += value != 0
+    assert nonzero > 400  # generic points: the identity is not checked on zeros alone
 
 
 def test_gm_rewrite_argument_checks():

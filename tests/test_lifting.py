@@ -8,6 +8,7 @@ from bracketforge.harness import (
     collinear_realization,
     generic_q,
     pascal_family_sample,
+    random_cactus,
 )
 from bracketforge.lifting import (
     LiftingError,
@@ -22,7 +23,7 @@ from bracketforge.lifting import (
     sample_descriptors,
     trivial_lifting_dim,
 )
-from bracketforge.linalg import E1, E2, E3, Realization, rank, vec3
+from bracketforge.linalg import E1, E2, E3, Realization, kernel_basis, rank, vec3
 from bracketforge.poly import Q_COL, bracket
 
 
@@ -100,6 +101,32 @@ def test_lift_dim_matches_dimension_formula_on_a_line():
     q = generic_q(g, 1, cfg)
     assert lift_dim(cfg, g, q) == nilpotent_dim(cfg) == 2
     assert trivial_lifting_dim(cfg, g, q) == 2
+
+
+CRITERION_6_CONFIGS = [
+    preset("line:4"),
+    preset("line:6"),
+    preset("cycle:3:3"),
+    preset("cycle:4:4"),
+    random_cactus(0),
+    random_cactus(1),
+    random_cactus(2),
+    preset("cactus14"),
+    preset("pascal").delete({7}),
+    preset("pappus").delete({1, 9}),
+]
+
+
+@pytest.mark.parametrize("cfg", CRITERION_6_CONFIGS)
+def test_lift_dim_is_kernel_dimension(cfg):
+    """lift_dim is d minus a rank; by rank-nullity the kernel of the symbolic
+    matrix evaluated at the same point must have that many basis vectors."""
+    for gseed in range(2):
+        g = collinear_realization(cfg, seed=gseed)
+        for qseed in range(2):
+            q = generic_q(g, seed=100 * gseed + qseed, cfg=cfg)
+            m = lift_matrix(cfg, QScheme.concrete(q)).evaluate(g)
+            assert lift_dim(cfg, g, q) == len(kernel_basis(m))
 
 
 def test_lift_dim_rejects_bad_input():

@@ -26,6 +26,74 @@ fracs = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 vecs = st.tuples(fracs, fracs, fracs)
 
 
+def fraction_rref(m):
+    """Gauss-Jordan elimination with a Fraction division at every step: the
+    reference the integer elimination must reproduce exactly."""
+    a = [[F(x) for x in row] for row in m]
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        pr = next((i for i in range(r, rows) if a[i][c] != 0), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        inv = F(1, 1) / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(rows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+def fraction_kernel(m):
+    """The kernel basis read off fraction_rref: one vector per free column."""
+    a, pivots = fraction_rref(m)
+    cols = len(m[0])
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        v = [F(0)] * cols
+        v[fc] = F(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -a[r][fc]
+        basis.append(v)
+    return basis
+
+
+entries = st.one_of(st.integers(-9, 9), fracs)
+shapes = st.one_of(
+    st.tuples(st.just(1), st.integers(1, 7)),
+    st.tuples(st.integers(1, 7), st.just(1)),
+    st.tuples(st.integers(1, 7), st.integers(1, 7)),
+)
+
+
+@st.composite
+def matrices(draw):
+    """rows x cols products A B of inner size k <= min(rows, cols), so the
+    rank is usually k, with some rows and columns then set to zero.  Entries
+    mix int and Fraction."""
+    rows, cols = draw(shapes)
+    k = draw(st.integers(0, min(rows, cols)))
+    a = draw(st.lists(st.lists(entries, min_size=k, max_size=k), min_size=rows, max_size=rows))
+    b = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=k, max_size=k))
+    zero_rows = draw(st.sets(st.integers(0, rows - 1), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, cols - 1), max_size=2))
+    return [
+        [
+            0 if i in zero_rows or j in zero_cols else sum(a[i][t] * b[t][j] for t in range(k))
+            for j in range(cols)
+        ]
+        for i in range(rows)
+    ]
+
+
 def laplace_det(m):
     """Permutation-expansion determinant, the independent oracle."""
     n = len(m)
@@ -117,6 +185,24 @@ def test_rank_nullity(m):
     assert rank(m) + len(ker) == 4
     for v in ker:
         assert all(sum(row[j] * v[j] for j in range(4)) == 0 for row in m)
+
+
+@given(matrices())
+@settings(max_examples=300)
+def test_integer_elimination_matches_fraction_oracle(m):
+    want, pivots = fraction_rref(m)
+    got = rref(m)
+    assert got == (want, pivots)
+    assert all(type(x) is F for row in got[0] for x in row)
+    assert rank(m) == len(pivots)
+    assert kernel_basis(m) == fraction_kernel(m)
+
+
+@pytest.mark.parametrize("fn", [rref, rank, kernel_basis])
+@pytest.mark.parametrize("m", [[[1, 2], [3]], [[1], [2, 3]], [[F(1, 2)], []]])
+def test_ragged_rows_raise_value_error(fn, m):
+    with pytest.raises(ValueError):
+        fn(m)
 
 
 def test_det_exact_vs_permutation_expansion():
