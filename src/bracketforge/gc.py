@@ -328,15 +328,13 @@ def circuit_combos(cfg: Config) -> list[BracketCombo]:
     return [BracketCombo.of_bracket(*sorted(c)) for c in sorted(cfg.circuits3(), key=sorted)]
 
 
-def gm_generators(
-    cfg: Config, depth: int, term_ceiling: int = DEFAULT_TERM_CEILING
-) -> list[BracketCombo]:
+def gm_generators(cfg: Config, depth: int) -> list[BracketCombo]:
     """Bounded rewrite orbit of the circuit brackets.
 
     Stage 0 is the circuit brackets; each later stage applies every single
     point rewrite (point x replaced via a pair of distinct configuration
     lines through it) to the previous stage.  Results are deduplicated up to
-    sign; combinations exceeding term_ceiling terms are dropped.  Returns
+    sign; combinations exceeding DEFAULT_TERM_CEILING terms are dropped.  Returns
     the union of all stages up to depth.
     """
     cfg._require_simple()
@@ -347,10 +345,8 @@ def gm_generators(
         nxt = []
         for combo in stage:
             for x, l1p, l2p in rewrite_choices(cfg, sorted(combo.points())):
-                if x not in combo.points():
-                    continue
                 r = gm_rewrite_combo(combo, x, l1p, l2p)
-                if r.is_zero() or len(r.terms) > term_ceiling:
+                if r.is_zero() or len(r.terms) > DEFAULT_TERM_CEILING:
                     continue
                 key = r.sign_normalized()
                 if key not in seen:

@@ -11,9 +11,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Optional
+from math import gcd
+from typing import Callable, Optional, TypeVar
 
-from .config import Config, admissible_ordering, cactus_check, preset, q_points
+from .config import Config, admissible_ordering, cactus_check, free_glue, preset, q_points
+from .gc import gm_generators
 from .linalg import (
     ZERO3,
     Realization,
@@ -96,25 +98,27 @@ class Fixture:
     name: str
     cfg: Config
     sampler: Callable[[int], Realization]
-    notes: str = ""
 
     def samples(self, n: int, seed: int = 0) -> list[Realization]:
         return [self.sampler(seed + i) for i in range(n)]
 
 
-def _rand_frac(rng: random.Random, bound: int = 12) -> Fraction:
-    num = rng.randint(-bound, bound)
-    den = rng.randint(1, bound)
+def _rand_frac(rng: random.Random) -> Fraction:
+    num = rng.randint(-12, 12)
+    den = rng.randint(1, 12)
     return Fraction(num, den)
 
 
-def _retrying(make: Callable[[random.Random], Optional[Realization]], seed: int) -> Realization:
+T = TypeVar("T")
+
+
+def _retrying(make: Callable[[random.Random], Optional[T]], seed: int) -> T:
     """The first draw make(rng) accepts; make returns None to reject one."""
     rng = random.Random(seed)
     for _ in range(RETRY_CAP):
-        gamma = make(rng)
-        if gamma is not None:
-            return gamma
+        draw = make(rng)
+        if draw is not None:
+            return draw
     raise FixtureError("no valid sample found within the retry cap")
 
 
@@ -244,17 +248,17 @@ def xi_family(x: Fraction, y: Fraction) -> Realization:
     return Realization(tuple(by_old[old] for old in range(2, 10)))
 
 
-def family_limit_check(x: Fraction, y: Fraction, eps_values=(Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000))):
+def family_limit_check(x: Fraction, y: Fraction):
     """The 8-point family converges to the xi collection entry-wise.
 
     Substituting 1 + v = 1/eps, w = eps*y/x, 1 + z = x/eps and rescaling the
     two unbounded columns (old labels 2 and 7) by eps, the exact entry-wise
-    distance to xi must shrink monotonically along eps_values.
+    distance to xi must shrink monotonically along eps = 1/10, 1/100, 1/1000.
     """
     x, y = Fraction(x), Fraction(y)
     target = xi_family(x, y)
     dists = []
-    for eps in eps_values:
+    for eps in (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000)):
         v = Fraction(1) / eps - 1
         w = eps * y / x
         z = x / eps - 1
@@ -300,8 +304,6 @@ def counterexample_realization() -> Realization:
 
 def _primitive(v: Vec3) -> tuple[int, ...]:
     """Integer representative of a projective point, first coordinate > 0."""
-    from math import gcd
-
     norm = normalize_projective(v)
     den = 1
     for c in norm:
@@ -321,7 +323,7 @@ class ReplayReport:
     det_exact_representatives: Fraction
     det_raw: Fraction
     in_circuit_variety: bool
-    gm_vanishing: Optional[dict] = None
+    gm_vanishing: dict
 
     def ok(self) -> bool:
         return (
@@ -333,7 +335,7 @@ class ReplayReport:
         )
 
 
-def replay_cactus_counterexample(check_gm_depth: Optional[int] = 1) -> ReplayReport:
+def replay_cactus_counterexample(check_gm_depth: int = 1) -> ReplayReport:
     """Re-run the step-by-step meet computation showing that the 14-point
     triangle cactus collection cannot be approximated inside the matroid
     variety: the forced limit positions of the three zero points violate the
@@ -351,13 +353,9 @@ def replay_cactus_counterexample(check_gm_depth: Optional[int] = 1) -> ReplayRep
         g(4),
     )
     ok, _ = in_circuit_variety(cfg, gamma)
-    gm_report = None
-    if check_gm_depth is not None:
-        from .gc import gm_generators
-
-        gens = gm_generators(cfg, check_gm_depth)
-        nonzero = [i for i, c in enumerate(gens) if c.eval(gamma) != 0]
-        gm_report = {"generators": len(gens), "nonvanishing": nonzero}
+    gens = gm_generators(cfg, check_gm_depth)
+    nonzero = [i for i, c in enumerate(gens) if c.eval(gamma) != 0]
+    gm_report = {"generators": len(gens), "nonvanishing": nonzero}
     return ReplayReport(l1, l3, l2, rep, raw, ok, gm_report)
 
 
@@ -383,16 +381,12 @@ class DecompReport:
         return len(self.components)
 
 
-def _uniform_line(d: int) -> Config:
-    return Config(d, [tuple(range(1, d + 1))])
-
-
 def decomposition_report(name: str, cfg: Optional[Config] = None) -> DecompReport:
     if name == "pascal":
         m = preset("pascal")
         comps = [
             DecompComponent("V_M", "the configuration itself", m),
-            DecompComponent("V_U29", "all nine points on one line", _uniform_line(9)),
+            DecompComponent("V_U29", "all nine points on one line", preset("line:9")),
         ]
         for i in (7, 8, 9):
             comps.append(
@@ -403,7 +397,7 @@ def decomposition_report(name: str, cfg: Optional[Config] = None) -> DecompRepor
         m = preset("pappus")
         comps = [
             DecompComponent("V_M", "the configuration itself", m),
-            DecompComponent("V_U29", "all nine points on one line", _uniform_line(9)),
+            DecompComponent("V_U29", "all nine points on one line", preset("line:9")),
         ]
         triples = ((1, 4, 9), (2, 5, 8), (3, 6, 7))
         for p in m.points:
@@ -508,9 +502,7 @@ def cactus_realization(cfg: Config, seed: int = 0) -> Realization:
 def _complete_quadrilateral(rng: random.Random) -> Optional[Realization]:
     """The six pairwise intersection points of four generic lines, labelled
     to match the "qs" preset's circuits; None if the sample degenerates."""
-    from .config import preset as preset_cfg
-
-    cfg = preset_cfg("qs")
+    cfg = preset("qs")
     lines = [vec3(*(_rand_frac(rng) for _ in range(3))) for _ in range(4)]
 
     def pt(i: int, j: int) -> Vec3:
@@ -588,12 +580,11 @@ def generic_q(gamma: Realization, seed: int, cfg: Config) -> Vec3:
     """A rational q in general position for cfg realized by gamma."""
     from .lifting import q_general_position
 
-    rng = random.Random(seed)
-    for _ in range(RETRY_CAP):
+    def make(rng: random.Random) -> Optional[Vec3]:
         q = vec3(_rand_frac(rng), _rand_frac(rng), 1 + _rand_frac(rng))
-        if q_general_position(cfg, gamma, q):
-            return q
-    raise FixtureError("no generic q found")
+        return q if q_general_position(cfg, gamma, q) else None
+
+    return _retrying(make, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -602,14 +593,12 @@ def generic_q(gamma: Realization, seed: int, cfg: Config) -> Vec3:
 
 def random_cactus(seed: int, blocks: int = 3) -> Config:
     """A random glue-tree of lines and cycles."""
-    from .config import free_glue, preset as preset_cfg
-
     rng = random.Random(seed)
 
     def random_block() -> Config:
         if rng.random() < 0.5:
-            return preset_cfg(f"line:{rng.randint(3, 5)}")
-        return preset_cfg(f"cycle:{rng.randint(3, 4)}:{rng.randint(3, 4)}")
+            return preset(f"line:{rng.randint(3, 5)}")
+        return preset(f"cycle:{rng.randint(3, 4)}:{rng.randint(3, 4)}")
 
     def safe_sites(c: Config) -> list[int]:
         # Gluing at p raises deg(p) to >= 2.  Keep every line at no more than
@@ -635,19 +624,17 @@ def random_cactus(seed: int, blocks: int = 3) -> Config:
 
 def fixtures() -> list[Fixture]:
     out = [
-        Fixture("pappus", preset("pappus"), pappus_realization, "two-line construction"),
-        Fixture("pascal", preset("pascal"), pascal_family_sample, "conic family"),
+        Fixture("pappus", preset("pappus"), pappus_realization),
+        Fixture("pascal", preset("pascal"), pascal_family_sample),
         Fixture(
             "cactus14",
             preset("cactus14"),
             lambda s: cactus_realization(preset("cactus14"), s),
-            "triangle with pendant lines",
         ),
         Fixture(
             "triangle-cycle",
             Config(6, [(1, 2, 4), (2, 3, 5), (1, 3, 6)]),
             lambda s: cactus_realization(Config(6, [(1, 2, 4), (2, 3, 5), (1, 3, 6)]), s),
-            "three lines in a cycle",
         ),
     ]
     return out

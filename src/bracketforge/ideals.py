@@ -8,13 +8,14 @@ because of their count).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .config import Config, cactus_check, q_points, subset_has_cycle
 from .gc import (
     BracketCombo,
     circuit_combos,
+    concurrency_combo,
     flatten,
     gm_generators,
     join,
@@ -37,7 +38,6 @@ class GeneratorSet:
     gc: list[BracketCombo]
     lifting_preset: Optional[str] = None
     lifting_count: int = 0
-    notes: list[str] = field(default_factory=list)
 
     def lifting_descriptors(self, limit: Optional[int] = None):
         if self.lifting_preset is None:
@@ -120,8 +120,7 @@ def pappus_gc_expressions():
     for p in cfg.points:
         l1, l2, l3 = sorted(cfg.lines_through(p))
         pairs = [tuple(x for x in l if x != p) for l in (l1, l2, l3)]
-        combo = flatten(join(meet(line_expr(*pairs[0]), line_expr(*pairs[1])), line_expr(*pairs[2])))
-        out.append((f"({pairs[0]}^{pairs[1]})v{pairs[2]}", combo))
+        out.append((f"({pairs[0]}^{pairs[1]})v{pairs[2]}", concurrency_combo(*pairs)))
     return out
 
 
@@ -192,5 +191,4 @@ def cactus_generators(cfg: Config, depth: int = DEFAULT_GM_DEPTH) -> GeneratorSe
         cfg=cfg,
         circuit=gens[:ncirc],
         gc=gens[ncirc:],
-        notes=[f"rewrite depth {depth}", f"Q_M={sorted(qm)}"],
     )

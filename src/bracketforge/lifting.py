@@ -30,12 +30,12 @@ from .linalg import (
     Realization,
     Vec3,
     cross,
-    det3,
     det_exact,
     dot,
     kernel_basis,
     proportional,
     rank,
+    rank_vectors,
     vadd,
     vec3,
     vscale,
@@ -126,9 +126,6 @@ class LiftMatrix:
         q: Optional[Vec3] = None,
     ) -> Fraction:
         return lazy_minor_eval(self.entries, rows, cols, gamma, q)
-
-    def to_text(self) -> list[list[str]]:
-        return [[p.to_text() for p in row] for row in self.entries]
 
     def bracket_text(self) -> list[list[str]]:
         """Shorthand like "[23 q1]" mirroring how such matrices are printed."""
@@ -354,7 +351,8 @@ def q_general_position(cfg: Config, gamma: Realization, q: Vec3) -> bool:
     for l in cfg.lines:
         pts = [gamma.col(p) for p in l]
         for a, b in combinations(pts, 2):
-            if cross(a, b) != ZERO3 and det3(a, b, q) == 0:
+            w = cross(a, b)
+            if w != ZERO3 and dot(w, q) == 0:
                 return False
     return True
 
@@ -387,43 +385,40 @@ def _lifted(gamma: Realization, z: Sequence[Fraction], q: Vec3) -> Realization:
 def construct_lifting(cfg: Config, gamma: Realization, q: Vec3) -> Optional[Realization]:
     """Lift a rank <= 2 collection out of its plane along q, if possible.
 
-    Picks the kernel vector of the evaluated liftability matrix whose lifted
-    collection has maximal rank, skipping the trivial (rank <= 2) liftings;
-    returns None when every kernel vector lifts degenerately.
+    Returns the lifted collection of the first kernel vector of the evaluated
+    liftability matrix whose lifting has rank 3, or None when every kernel
+    vector lifts within a plane.
     """
     _check_lifting_input(cfg, gamma, q)
     if gamma.rank() > 2:
         raise LiftingError("construct_lifting expects a planar (rank <= 2) collection")
-    numeric = _numeric_rows(cfg, gamma, (q,) * cfg.d)
-    kernel = (
-        kernel_basis(numeric)
-        if numeric
-        else [tuple(Fraction(int(i == j)) for j in range(cfg.d)) for i in range(cfg.d)]
-    )
-    best = None
-    best_rank = 2
-    for z in kernel:
+    # with no 3-circuit there is no row, and every vector is in the kernel
+    for z in kernel_basis(_numeric_rows(cfg, gamma, (q,) * cfg.d) or [[ZERO] * cfg.d]):
         lifted = _lifted(gamma, z, q)
-        r = lifted.rank()
-        if r > best_rank:
-            best, best_rank = lifted, r
-    if best is None:
-        return None
-    ok, witness = in_circuit_variety(cfg, best)
-    if not ok:
-        raise LiftingError(f"lifted collection violates a circuit; kernel not exact: {witness}")
-    return best
+        if lifted.rank() == 3:
+            ok, witness = in_circuit_variety(cfg, lifted)
+            if not ok:
+                raise LiftingError(
+                    f"lifted collection violates a circuit; kernel not exact: {witness}"
+                )
+            return lifted
+    return None
 
 
 def trivial_lifting_dim(cfg: Config, gamma: Realization, q: Vec3) -> int:
-    """Dimension of the kernel vectors that lift gamma to rank <= 2."""
-    numeric = _numeric_rows(cfg, gamma, (q,) * cfg.d)
-    kernel = kernel_basis(numeric) if numeric else []
-    # the degenerate liftings form a subspace; measure its span directly
-    span: list[list[Fraction]] = []
-    for z in kernel:
-        if _lifted(gamma, z, q).rank() <= 2:
-            span.append(list(z))
-    if not span:
-        return 0
-    return rank(span)
+    """Dimension of the liftings of a rank <= 2 collection that stay planar.
+
+    Every linear form h gives one, z_i = h(gamma_i).  Each circuit row
+    vanishes on z: by the Grassmann-Pluecker relation,
+    [c2 c3 q] gamma_c1 - [c1 c3 q] gamma_c2 + [c1 c2 q] gamma_c3 = [c1 c2 c3] q,
+    and [c1 c2 c3] = 0.  The lifted collection (I + q h^T) gamma is planar.
+    When gamma and q span Q^3 these are the only planar liftings, so the
+    dimension is rank(gamma) = 2.  Otherwise every lifting stays inside
+    span(gamma, q), and the whole kernel counts.
+    """
+    _check_lifting_input(cfg, gamma, q)
+    if gamma.rank() > 2:
+        raise LiftingError("trivial_lifting_dim expects a planar (rank <= 2) collection")
+    if rank_vectors(gamma.cols + (q,)) == 3:
+        return 2
+    return cfg.d - rank(_numeric_rows(cfg, gamma, (q,) * cfg.d))

@@ -8,6 +8,8 @@ from bracketforge.harness import (
     collinear_realization,
     generic_q,
     pascal_family_sample,
+    qs_realization,
+    quadrilateral_set_flat,
     random_cactus,
 )
 from bracketforge.lifting import (
@@ -117,23 +119,49 @@ CRITERION_6_CONFIGS = [
 ]
 
 
+def check_lifting_verdicts(cfg, g, q):
+    """The three lifting verdicts against the kernel K of the symbolic matrix
+    evaluated at g.  lift_dim is d minus a rank, so by rank-nullity it is
+    len(K).  trivial_lifting_dim is dim(K & rowspace g), the kernel vectors
+    z_i = h(g_i), by the dimension formula for an intersection of subspaces.
+    construct_lifting finds a rank-3 lifting exactly when K holds more."""
+    kernel = kernel_basis(lift_matrix(cfg, QScheme.concrete(q)).evaluate(g))
+    rows = g.as_rows()
+    dim, trivial = lift_dim(cfg, g, q), trivial_lifting_dim(cfg, g, q)
+    assert dim == len(kernel)
+    assert trivial == len(kernel) + rank(rows) - rank(kernel + rows)
+    lifted = construct_lifting(cfg, g, q)
+    assert (lifted is None) == (dim == trivial)
+    assert lifted is None or lifted.rank() == 3
+
+
 @pytest.mark.parametrize("cfg", CRITERION_6_CONFIGS)
 def test_lift_dim_is_kernel_dimension(cfg):
-    """lift_dim is d minus a rank; by rank-nullity the kernel of the symbolic
-    matrix evaluated at the same point must have that many basis vectors."""
     for gseed in range(2):
         g = collinear_realization(cfg, seed=gseed)
         for qseed in range(2):
-            q = generic_q(g, seed=100 * gseed + qseed, cfg=cfg)
-            m = lift_matrix(cfg, QScheme.concrete(q)).evaluate(g)
-            assert lift_dim(cfg, g, q) == len(kernel_basis(m))
+            check_lifting_verdicts(cfg, g, generic_q(g, seed=100 * gseed + qseed, cfg=cfg))
 
 
-def test_lift_dim_rejects_bad_input():
-    cfg = preset("line:4")
-    g = Realization(tuple(vec3(1, i, i * i) for i in range(4)))  # not collinear
-    with pytest.raises(LiftingError):
-        lift_dim(cfg, g, vec3(0, 0, 1))
+@pytest.mark.parametrize("flat", [False, True])
+def test_lifting_verdicts_on_quadrilateral_sets(flat):
+    """qs at generic collinear points and at flattened complete quadrilaterals,
+    which lift out of the plane by construction."""
+    cfg = preset("qs")
+    for seed in range(4):
+        g = quadrilateral_set_flat(seed) if flat else collinear_realization(cfg, seed=seed)
+        check_lifting_verdicts(cfg, g, generic_q(g, seed, cfg))
+
+
+@pytest.mark.parametrize("q, dim", [(vec3(0, 0, 1), 2), (vec3(1, 5, 0), 4)])
+def test_trivial_lifting_dim_without_circuits(q, dim):
+    """With no 3-circuit every z is in the kernel.  Out of the points' plane
+    only z_i = h(g_i) stays planar; with q in it every lifting does."""
+    cfg = Config(4, lines=())
+    g = Realization(tuple(vec3(1, i, 0) for i in range(1, 5)))
+    assert lift_dim(cfg, g, q) == 4
+    assert trivial_lifting_dim(cfg, g, q) == dim
+    assert (construct_lifting(cfg, g, q) is None) == (dim == 4)
 
 
 def test_construct_lifting_triangle():
@@ -151,8 +179,8 @@ def test_construct_lifting_none_when_only_trivial():
     cfg = preset("qs")
     g = collinear_realization(cfg, seed=3)
     q = generic_q(g, 3, cfg)
-    if lift_dim(cfg, g, q) == trivial_lifting_dim(cfg, g, q):
-        assert construct_lifting(cfg, g, q) is None
+    assert lift_dim(cfg, g, q) == trivial_lifting_dim(cfg, g, q) == 2
+    assert construct_lifting(cfg, g, q) is None
 
 
 def test_eval_descriptor_uniform_q_vanishes_on_realization():
@@ -195,8 +223,17 @@ def test_realization_size_mismatch_is_lifting_error(fn, d):
         fn(cfg, g, vec3(0, 0, 1))
 
 
-def test_construct_lifting_reports_circuit_witness():
+@pytest.mark.parametrize("fn", [lift_dim, construct_lifting, trivial_lifting_dim])
+def test_verdicts_report_circuit_witness(fn):
     cfg = preset("line:4")
     g = Realization(tuple(vec3(1, i, i * i) for i in range(4)))  # not collinear
     with pytest.raises(LiftingError, match=r"circuit \{1,2,3\}"):
-        construct_lifting(cfg, g, vec3(0, 0, 1))
+        fn(cfg, g, vec3(0, 0, 1))
+
+
+@pytest.mark.parametrize("fn", [construct_lifting, trivial_lifting_dim])
+def test_planar_verdicts_reject_rank_3(fn):
+    cfg = preset("qs")
+    g = qs_realization(0)
+    with pytest.raises(LiftingError, match="planar"):
+        fn(cfg, g, generic_q(g, 0, cfg))
