@@ -49,13 +49,20 @@ class Config:
             if covered & set(cls):
                 raise ConfigError("parallel classes must be disjoint")
             covered |= set(cls)
-        rep = self._parallel_rep_map()
         for l in self.lines:
             if len(l) < 3:
                 raise ConfigError(f"line {l} has fewer than 3 points")
             if not set(l) <= ground - self.loops:
                 raise ConfigError(f"line {l} not within non-loop points")
-        collapsed = [frozenset(rep[p] for p in l) for l in self.lines]
+        # each point's parallel-class representative, and the lines through
+        # the representatives: dependence is decided on these
+        rep = {p: p for p in ground}
+        for cls in self.parallel:
+            for p in cls:
+                rep[p] = cls[0]
+        collapsed = tuple(frozenset(rep[p] for p in l) for l in self.lines)
+        object.__setattr__(self, "_rep", rep)
+        object.__setattr__(self, "_collapsed", collapsed)
         for (i, a), (j, b) in combinations(enumerate(collapsed), 2):
             if len(a & b) > 1:
                 raise ConfigError(
@@ -66,11 +73,7 @@ class Config:
                 raise ConfigError("no line may contain another")
 
     def _parallel_rep_map(self) -> dict[int, int]:
-        rep = {p: p for p in range(1, self.d + 1)}
-        for cls in self.parallel:
-            for p in cls:
-                rep[p] = cls[0]
-        return rep
+        return self._rep
 
     # -- basic queries -----------------------------------------------------
 
@@ -110,10 +113,8 @@ class Config:
         t = set(t)
         if t & self.loops:
             return True
-        rep = self._parallel_rep_map()
-        if len({rep[p] for p in t}) < len(t):
-            return True
-        return any(t <= set(l) for l in self.lines)
+        reps = {self._rep[p] for p in t}
+        return len(reps) < len(t) or any(reps <= l for l in self._collapsed)
 
     def bases(self) -> list[tuple[int, int, int]]:
         """All independent 3-subsets of the ground set."""

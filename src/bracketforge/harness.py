@@ -465,8 +465,9 @@ def cactus_realization(cfg: Config, seed: int = 0) -> Realization:
 
     Points are placed along an admissible ordering: weight-0 points get
     generic positions, weight-1 points get generic positions on the span of
-    their one constraining line; membership is verified exactly afterwards
-    and the construction retries with fresh randomness on failure.
+    their one constraining line; membership in the realization space, which
+    also fixes the rank, is verified exactly afterwards and the construction
+    retries with fresh randomness on failure.
     """
     report = cactus_check(cfg)
     if not report.is_cactus:
@@ -474,8 +475,6 @@ def cactus_realization(cfg: Config, seed: int = 0) -> Realization:
     ordering = admissible_ordering(cfg)
     if ordering is None:
         raise FixtureError("cactus configuration should be nilpotent")
-    # a configuration with no independent triple (a single line) realizes in rank 2
-    want_rank = 3 if cfg.bases() else 2
 
     def attempt(rng: random.Random) -> Optional[Realization]:
         placed: dict[int, Vec3] = {}
@@ -493,8 +492,7 @@ def cactus_realization(cfg: Config, seed: int = 0) -> Realization:
                 t = _rand_frac(rng)
                 placed[p] = vec3(*(x + t * y for x, y in zip(a, b)))
         gamma = Realization(tuple(placed[i] for i in range(1, cfg.d + 1)))
-        ok = in_realization_space(cfg, gamma)[0] and gamma.rank() == want_rank
-        return gamma if ok else None
+        return gamma if in_realization_space(cfg, gamma)[0] else None
 
     return _retrying(attempt, seed)
 
@@ -510,9 +508,7 @@ def _complete_quadrilateral(rng: random.Random) -> Optional[Realization]:
 
     # point 1 = L1^L2, 2 = L1^L3, 3 = L1^L4, 4 = L3^L4, 5 = L2^L4, 6 = L2^L3
     full = Realization((pt(0, 1), pt(0, 2), pt(0, 3), pt(2, 3), pt(1, 3), pt(1, 2)))
-    if not in_realization_space(cfg, full)[0] or full.rank() != 3:
-        return None
-    return full
+    return full if in_realization_space(cfg, full)[0] else None
 
 
 def qs_realization(seed: int = 0) -> Realization:

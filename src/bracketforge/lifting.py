@@ -40,7 +40,7 @@ from .linalg import (
     vec3,
     vscale,
 )
-from .poly import BracketPoly, ColumnSym, Q_COL, bracket, const_col, lazy_minor_eval, symbolic_minor
+from .poly import BracketPoly, Q_COL, bracket, const_col, lazy_minor_eval, symbolic_minor
 
 
 class LiftingError(ValueError):
@@ -91,7 +91,7 @@ class QScheme:
     def per_col(vectors: Sequence[Vec3]) -> "QScheme":
         return QScheme("per-column", per_column=tuple(vectors))
 
-    def q_column(self, col: int) -> ColumnSym:
+    def q_column(self, col: int) -> tuple[BracketPoly, ...]:
         if self.kind == "symbolic":
             return Q_COL
         if self.kind == "concrete":

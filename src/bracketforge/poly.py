@@ -3,8 +3,10 @@
 A configuration on d points is realized by a 3 x d matrix whose entries are
 the variables x[r,c] (row r in 0..2, column c in 1..d).  Polynomials may also
 mention the three coordinates q1..q3 of one extra symbolic vector.  The main
-constructor is `bracket`, the fully expanded 3 x 3 determinant of chosen
-columns.
+constructor is `bracket`, the fully expanded 3 x 3 determinant of three
+columns.  A column is a 3-vector of polynomials: a configuration point
+(`point`), the symbolic vector q (`Q_COL`), a constant vector (`const_col`),
+or any other polynomial vector.
 
 Variables are keyed for sorting by (column, row) with the q vector last, and
 monomials are compared graded-lex, so every polynomial has one canonical
@@ -16,7 +18,6 @@ gc.BracketCombo; `sort_sign` is the one permutation sign of the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Mapping, Optional, Sequence, Union
@@ -240,70 +241,48 @@ class BracketPoly(LinearCombination):
 
 
 # ---------------------------------------------------------------------------
-# Columns and brackets
+# Columns, brackets and minors
+
+PolyMatrix = Sequence[Sequence[BracketPoly]]
 
 
-@dataclass(frozen=True)
-class ColumnSym:
-    """Either a configuration point (generic column) or a constant column.
-
-    The constant may be a concrete vector in Q^3 or the symbolic vector q.
-    """
-
-    point: Optional[int] = None
-    const: Optional[Vec3] = None
-    is_q: bool = False
-
-    def __post_init__(self):
-        kinds = sum(1 for f in (self.point is not None, self.const is not None, self.is_q) if f)
-        if kinds != 1:
-            raise ValueError("ColumnSym needs exactly one of point/const/q")
-        if self.point is not None and self.point < 1:
-            raise ValueError("point index must be >= 1")
-
-    def entry(self, row: int) -> BracketPoly:
-        if self.point is not None:
-            return BracketPoly.variable(("x", self.point, row))
-        if self.is_q:
-            return BracketPoly.variable(("q", row))
-        return BracketPoly.const(self.const[row])
+def point(i: int) -> tuple[BracketPoly, ...]:
+    """The generic column of point i: the variables x[0,i], x[1,i], x[2,i]."""
+    if i < 1:
+        raise ValueError("point index must be >= 1")
+    return tuple(BracketPoly.variable(("x", i, row)) for row in range(3))
 
 
-def point(i: int) -> ColumnSym:
-    return ColumnSym(point=i)
+def const_col(v: Sequence) -> tuple[BracketPoly, ...]:
+    return tuple(BracketPoly.const(c) for c in vec3(*v))
 
 
-def const_col(v: Sequence) -> ColumnSym:
-    return ColumnSym(const=vec3(*v))
+Q_COL = tuple(BracketPoly.variable(("q", row)) for row in range(3))
 
 
-Q_COL = ColumnSym(is_q=True)
-
-ColumnLike = Union[int, ColumnSym]
-
-
-def as_column(c: ColumnLike) -> ColumnSym:
-    return ColumnSym(point=c) if isinstance(c, int) else c
-
-
-def bracket(c1: ColumnLike, c2: ColumnLike, c3: ColumnLike) -> BracketPoly:
-    """Fully expanded determinant of the 3 x 3 matrix with these columns."""
-    cols = [as_column(c1), as_column(c2), as_column(c3)]
-    if len({(c.point, c.const, c.is_q) for c in cols}) < 3:
-        return BracketPoly.zero()
+def _det(matrix: PolyMatrix) -> BracketPoly:
+    """Leibniz expansion of a square matrix of polynomials; k! products."""
+    k = len(matrix)
     out = BracketPoly.zero()
-    for perm in permutations(range(3)):
+    for perm in permutations(range(k)):
         term = BracketPoly.const(sort_sign(perm)[1])
-        for col, row in enumerate(perm):
-            term = term * cols[col].entry(row)
+        for i in range(k):
+            term = term * matrix[i][perm[i]]
+            if term.is_zero():
+                break
         out = out + term
     return out
 
 
-# ---------------------------------------------------------------------------
-# Minors of matrices with polynomial entries
-
-PolyMatrix = Sequence[Sequence[BracketPoly]]
+def bracket(
+    c1: Union[int, Sequence[BracketPoly]],
+    c2: Union[int, Sequence[BracketPoly]],
+    c3: Union[int, Sequence[BracketPoly]],
+) -> BracketPoly:
+    """Fully expanded determinant of the 3 x 3 matrix with these columns;
+    an int column i stands for point(i)."""
+    # the matrix with these columns as rows is the transpose: same determinant
+    return _det([point(c) if isinstance(c, int) else c for c in (c1, c2, c3)])
 
 
 def _select(entries: PolyMatrix, rows: Sequence[int], cols: Sequence[int]):
@@ -323,17 +302,7 @@ def symbolic_minor(entries: PolyMatrix, rows: Sequence[int], cols: Sequence[int]
 
     Intended for small minors (4 x 4 and below); cost is k! products.
     """
-    sub = _select(entries, rows, cols)
-    k = len(sub)
-    out = BracketPoly.zero()
-    for perm in permutations(range(k)):
-        term = BracketPoly.const(sort_sign(perm)[1])
-        for i in range(k):
-            term = term * sub[i][perm[i]]
-            if term.is_zero():
-                break
-        out = out + term
-    return out
+    return _det(_select(entries, rows, cols))
 
 
 def lazy_minor_eval(

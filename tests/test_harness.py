@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
@@ -22,6 +23,7 @@ from bracketforge.harness import (
     xi_family,
     xi_limit_config,
 )
+from bracketforge.linalg import det3
 
 
 def test_fixture_samples_are_genuine_realizations():
@@ -62,6 +64,20 @@ def test_xi_family_and_limit():
     shrinking, distances = family_limit_check(F(2), F(3))
     assert shrinking
     assert all(b < a for a, b in zip(distances, distances[1:]))
+
+
+def test_xi_limit_is_in_its_realization_space():
+    # parallel classes collapse before dependence is decided: {2, 3, 6} is
+    # dependent because 2 is parallel to 1 and {1, 3, 6} is on a line
+    assert in_realization_space(xi_limit_config(), xi_family(F(2), F(3))) == (True, None)
+
+
+def test_xi_limit_dependent_triples_are_the_zero_determinants():
+    cfg = xi_limit_config()
+    g = xi_family(F(2), F(3))
+    triples = list(combinations(cfg.points, 3))
+    dependent = {t for t in triples if cfg.is_dependent_triple(t)}
+    assert dependent == {t for t in triples if det3(*(g.col(p) for p in t)) == 0}
 
 
 def test_counterexample_replay_exact_values():

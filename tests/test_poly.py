@@ -2,12 +2,14 @@ import random
 from fractions import Fraction as F
 from itertools import permutations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bracketforge.gc import BracketCombo
 from bracketforge.linalg import Realization, det3, vec3
 from bracketforge.poly import (
+    Q_COL,
     BracketPoly,
     bracket,
     const_col,
@@ -62,6 +64,13 @@ def test_bracket_eval_is_det3():
         g = rand_realization(rng, 5)
         i, j, k = rng.sample(range(1, 6), 3)
         assert bracket(i, j, k).eval(g) == det3(g.col(i), g.col(j), g.col(k))
+        v, q = rand_realization(rng, 2).cols
+        assert bracket(i, const_col(v), Q_COL).eval(g, q) == det3(g.col(i), v, q)
+
+
+def test_point_index_starts_at_one():
+    with pytest.raises(ValueError):
+        point(0)
 
 
 def test_eval_is_ring_homomorphism():
