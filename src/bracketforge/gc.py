@@ -24,7 +24,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import cache
+from itertools import combinations, product
 from typing import Iterable, Sequence
 
 from .config import Config
@@ -44,6 +45,13 @@ def _combo_mono_mul(a: ComboMono, b: ComboMono) -> ComboMono:
     return tuple(sorted(a + b))
 
 
+@cache
+def _triple(a: int, b: int, c: int):
+    """sort_sign((a, b, c)), computed once per label triple so that every
+    monomial holding the bracket shares one sorted tuple."""
+    return sort_sign((a, b, c))
+
+
 class BracketCombo(LinearCombination):
     """Formal Q-linear combination of products of point brackets."""
 
@@ -51,7 +59,7 @@ class BracketCombo(LinearCombination):
 
     @staticmethod
     def of_bracket(a: int, b: int, c: int) -> "BracketCombo":
-        t, sign = sort_sign((a, b, c))
+        t, sign = _triple(a, b, c)
         if t is None:
             return BracketCombo.zero()
         return BracketCombo._of({(t,): Fraction(sign)})
@@ -259,26 +267,55 @@ def _check_rewrite_args(x: int, l1_pts: Sequence[int], l2_pts: Sequence[int]):
 def gm_rewrite_combo(
     combo: BracketCombo, x: int, l1_pts: Sequence[int], l2_pts: Sequence[int]
 ) -> BracketCombo:
-    """Replace x by [p1 p2 p3] p4 - [p1 p2 p4] p3 in every bracket of combo."""
+    """Replace x by [p1 p2 p3] p4 - [p1 p2 p4] p3 in every bracket of combo.
+
+    Brackets are multilinear, so a monomial with k brackets on x expands
+    directly into at most 2^k monomials, one per choice of replacement in
+    each of those brackets.
+    """
     p1, p2, p3, p4 = _check_rewrite_args(x, l1_pts, l2_pts)
     if x not in combo.points():
         raise ValueError(f"point {x} does not occur in the combination")
-    plus = BracketCombo.of_bracket(p1, p2, p3)
-    minus = BracketCombo.of_bracket(p1, p2, p4)
-    out = BracketCombo.zero()
+    plus, s_plus = _triple(p1, p2, p3)
+    minus, s_minus = _triple(p1, p2, p4)
+    replacements: dict = {}  # bracket on x -> [(sign, (triple, triple)), ...]
+
+    def replace(t: tuple) -> list:
+        i = t.index(x)
+        rest = t[:i] + t[i + 1:]
+        sign = -1 if i % 2 else 1  # move x to the front
+        opts = []
+        for left, s, p in ((plus, s_plus, p4), (minus, -s_minus, p3)):
+            right, s2 = _triple(p, *rest)  # None when p is already in the bracket
+            if right is not None:
+                opts.append((sign * s * s2, (left, right)))
+        return opts
+
+    out: dict = {}
     for m, c in combo.terms.items():
+        coeff = {1: c, -1: -c}
         # brackets without x carry over; a subsequence of m is still sorted
-        acc = BracketCombo({tuple(t for t in m if x not in t): c})
+        kept = tuple(t for t in m if x not in t)
+        choices = []
         for t in m:
             if x in t:
-                rest = [p for p in t if p != x]
-                sign = (-1) ** t.index(x)  # move x to the front
-                acc = acc * (
-                    plus * BracketCombo.of_bracket(p4, *rest)
-                    - minus * BracketCombo.of_bracket(p3, *rest)
-                ).scale(sign)
-        out = out + acc
-    return out
+                r = replacements.get(t)
+                if r is None:
+                    r = replacements[t] = replace(t)
+                choices.append(r)
+        for pick in product(*choices):
+            mono, sign = kept, 1
+            for s, pair in pick:
+                mono += pair
+                sign *= s
+            mono = tuple(sorted(mono))
+            v = out.get(mono)
+            v = coeff[sign] if v is None else v + coeff[sign]
+            if v:
+                out[mono] = v
+            else:
+                del out[mono]
+    return BracketCombo._of(out)
 
 
 def gm_rewrite(

@@ -20,6 +20,7 @@ from .linalg import (
     ZERO3,
     Realization,
     Vec3,
+    _integer_rows,
     cross,
     det3,
     meet_lines,
@@ -40,26 +41,38 @@ RETRY_CAP = 100  # attempts a sampler makes before giving up
 # Membership
 
 
+def _integer_cols(cfg: Config, gamma: Realization) -> list[list[int]]:
+    """gamma's columns with their denominators cleared.  A nonzero multiple of
+    a column keeps the zero pattern of every cross product and determinant."""
+    if gamma.d != cfg.d:
+        raise FixtureError("realization size does not match configuration")
+    return _integer_rows(gamma.cols)[0]
+
+
+def _circuit_witness(cfg: Config, cols: list[list[int]]) -> Optional[str]:
+    """The first dependency of cfg violated by the columns, or None."""
+    for p in sorted(cfg.loops):
+        if any(cols[p - 1]):
+            return f"loop {p} is nonzero"
+    for cls in cfg.parallel:
+        for a, b in combinations(cls, 2):
+            if any(cross(cols[a - 1], cols[b - 1])):
+                return f"parallel pair {{{a},{b}}} is independent"
+    for c in sorted(cfg.circuits3() if cfg.is_simple() else _dependent_triples(cfg), key=sorted):
+        a, b, d = sorted(c)
+        if det3(cols[a - 1], cols[b - 1], cols[d - 1]) != 0:
+            return f"circuit {{{a},{b},{d}}} has nonzero determinant"
+    return None
+
+
 def in_circuit_variety(cfg: Config, gamma: Realization):
     """(verdict, witness): every dependency of cfg holds at gamma.
 
     Checks 3-circuits, zero loop columns, and pairwise dependence inside
     parallel classes; witness names the first violated dependency.
     """
-    if gamma.d != cfg.d:
-        raise FixtureError("realization size does not match configuration")
-    for p in sorted(cfg.loops):
-        if any(gamma.col(p)):
-            return False, f"loop {p} is nonzero"
-    for cls in cfg.parallel:
-        for a, b in combinations(cls, 2):
-            if cross(gamma.col(a), gamma.col(b)) != ZERO3:
-                return False, f"parallel pair {{{a},{b}}} is independent"
-    for c in sorted(cfg.circuits3() if cfg.is_simple() else _dependent_triples(cfg), key=sorted):
-        a, b, d = sorted(c)
-        if det3(gamma.col(a), gamma.col(b), gamma.col(d)) != 0:
-            return False, f"circuit {{{a},{b},{d}}} has nonzero determinant"
-    return True, None
+    witness = _circuit_witness(cfg, _integer_cols(cfg, gamma))
+    return witness is None, witness
 
 
 def _dependent_triples(cfg: Config):
@@ -73,18 +86,19 @@ def in_realization_space(cfg: Config, gamma: Realization):
     independence across parallel classes, and nonzero determinant for every
     independent triple (every basis of the configuration).
     """
-    ok, witness = in_circuit_variety(cfg, gamma)
-    if not ok:
+    cols = _integer_cols(cfg, gamma)
+    witness = _circuit_witness(cfg, cols)
+    if witness is not None:
         return False, witness
     for p in cfg.nonloop_points:
-        if not any(gamma.col(p)):
+        if not any(cols[p - 1]):
             return False, f"non-loop point {p} is the zero vector"
     rep = cfg._parallel_rep_map()
     for a, b in combinations(cfg.nonloop_points, 2):
-        if rep[a] != rep[b] and cross(gamma.col(a), gamma.col(b)) == ZERO3:
+        if rep[a] != rep[b] and not any(cross(cols[a - 1], cols[b - 1])):
             return False, f"points {a},{b} coincide but are not parallel"
     for t in cfg.bases():
-        if det3(*(gamma.col(p) for p in t)) == 0:
+        if det3(*(cols[p - 1] for p in t)) == 0:
             return False, f"basis {set(t)} is dependent"
     return True, None
 
@@ -304,15 +318,9 @@ def counterexample_realization() -> Realization:
 
 def _primitive(v: Vec3) -> tuple[int, ...]:
     """Integer representative of a projective point, first coordinate > 0."""
-    norm = normalize_projective(v)
-    den = 1
-    for c in norm:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in norm]
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
-    return tuple(c // (g or 1) for c in ints)
+    (ints,), _ = _integer_rows([normalize_projective(v)])
+    g = gcd(*ints) or 1
+    return tuple(c // g for c in ints)
 
 
 @dataclass

@@ -26,14 +26,13 @@ from .config import Config
 from .harness import in_circuit_variety
 from .linalg import (
     BASIS,
-    ZERO3,
     Realization,
     Vec3,
+    _integer_rows,
     cross,
     det_exact,
     dot,
     kernel_basis,
-    proportional,
     rank,
     rank_vectors,
     vadd,
@@ -344,15 +343,15 @@ def q_general_position(cfg: Config, gamma: Realization, q: Vec3) -> bool:
     """q outside every realized line and every point span."""
     if not any(q):
         return False
+    *cols, q = _integer_rows(gamma.cols + (q,))[0]
     for p in cfg.nonloop_points:
-        v = gamma.col(p)
-        if any(v) and proportional(v, q):
+        v = cols[p - 1]
+        if any(v) and not any(cross(v, q)):
             return False
     for l in cfg.lines:
-        pts = [gamma.col(p) for p in l]
-        for a, b in combinations(pts, 2):
+        for a, b in combinations([cols[p - 1] for p in l], 2):
             w = cross(a, b)
-            if w != ZERO3 and dot(w, q) == 0:
+            if any(w) and dot(w, q) == 0:
                 return False
     return True
 

@@ -23,7 +23,7 @@ from bracketforge.gc import (
     point_expr,
     rewrite_choices,
 )
-from bracketforge.harness import pascal_family_sample
+from bracketforge.harness import pascal_family_sample, random_cactus
 from bracketforge.linalg import Realization, cross, det3, proportional, vec3, vscale, vsub
 
 
@@ -203,6 +203,49 @@ def test_gm_rewrite_combo_matches_numeric_substitution():
             assert value == c.eval(_meet_substituted(g, x, l1, l2))
             nonzero += value != 0
     assert nonzero > 400  # generic points: the identity is not checked on zeros alone
+
+
+def _product_rewrite(combo, x, l1_pts, l2_pts):
+    """Oracle: the rewrite as a product of combinations, each bracket on x
+    replaced by sign * ([p1 p2 p3][p4 rest] - [p1 p2 p4][p3 rest])."""
+    (p1, p2), (p3, p4) = l1_pts, l2_pts
+    plus = BracketCombo.of_bracket(p1, p2, p3)
+    minus = BracketCombo.of_bracket(p1, p2, p4)
+    out = BracketCombo.zero()
+    for m, c in combo.terms.items():
+        acc = BracketCombo({tuple(t for t in m if x not in t): c})
+        for t in m:
+            if x in t:
+                rest = [p for p in t if p != x]
+                sign = (-1) ** t.index(x)
+                acc = acc * (
+                    plus * BracketCombo.of_bracket(p4, *rest)
+                    - minus * BracketCombo.of_bracket(p3, *rest)
+                ).scale(sign)
+        out = out + acc
+    return out
+
+
+def _check_against_product_rewrite(combos, cfg):
+    for c in combos:
+        for x, l1, l2 in rewrite_choices(cfg, sorted(c.points())):
+            r = gm_rewrite_combo(c, x, l1, l2)
+            assert r == _product_rewrite(c, x, l1, l2), (c.to_text(), x, l1, l2)
+            # the result is wrapped without LinearCombination's normalization
+            assert all(type(v) is F and v != 0 for v in r.terms.values())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gm_rewrite_combo_matches_product_oracle_depth1(seed):
+    cfg = random_cactus(seed)
+    _check_against_product_rewrite(gm_generators(cfg, depth=1), cfg)
+
+
+def test_gm_rewrite_combo_matches_product_oracle_depth2_sample():
+    cfg = random_cactus(0)
+    depth1 = len(gm_generators(cfg, depth=1))
+    stage2 = gm_generators(cfg, depth=2)[depth1:]
+    _check_against_product_rewrite(random.Random(7).sample(stage2, 60), cfg)
 
 
 def test_gm_rewrite_argument_checks():

@@ -1,9 +1,11 @@
+import hashlib
 from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
 
 from bracketforge.config import cactus_check, is_nilpotent, preset
+from bracketforge.gc import gm_generators
 from bracketforge.harness import (
     FixtureError,
     cactus_realization,
@@ -18,12 +20,13 @@ from bracketforge.harness import (
     pappus8_cfg,
     pappus8_family,
     pascal_family,
+    pascal_family_sample,
     random_cactus,
     replay_cactus_counterexample,
     xi_family,
     xi_limit_config,
 )
-from bracketforge.linalg import det3
+from bracketforge.linalg import ZERO3, Realization, cross, det3, meet_lines, vec3, vscale
 
 
 def test_fixture_samples_are_genuine_realizations():
@@ -131,3 +134,111 @@ def test_collinear_realization_is_rank_two():
     assert g.rank() == 2
     cols = set(g.cols)
     assert len(cols) == 6  # pairwise distinct points
+
+
+def _sha256(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_cactus_orbit_golden():
+    gens = gm_generators(random_cactus(0), 2)
+    assert len(gens) == 6825
+    assert _sha256(c.to_text() for c in gens) == (
+        "4798c758664be84a40b649d32d5bd31113a4f60888b37e3c6506faafc70a8cf1"
+    )
+
+
+def test_cactus_realization_golden():
+    cfg = random_cactus(0)
+    assert _sha256(cactus_realization(cfg, s).to_json() for s in range(10)) == (
+        "babacd588aa13c003933c0ab58e99afc27a506a2e251756b637aefcfb45ace69"
+    )
+
+
+# Reference membership checks on the Fraction columns, as a realization
+# gives them; the package clears denominators first.
+
+
+def _ref_in_circuit_variety(cfg, gamma):
+    for p in sorted(cfg.loops):
+        if any(gamma.col(p)):
+            return False, f"loop {p} is nonzero"
+    for cls in cfg.parallel:
+        for a, b in combinations(cls, 2):
+            if cross(gamma.col(a), gamma.col(b)) != ZERO3:
+                return False, f"parallel pair {{{a},{b}}} is independent"
+    triples = cfg.circuits3() if cfg.is_simple() else [
+        t for t in cfg.dependency_signature() if len(t) == 3]
+    for c in sorted(triples, key=sorted):
+        a, b, d = sorted(c)
+        if det3(gamma.col(a), gamma.col(b), gamma.col(d)) != 0:
+            return False, f"circuit {{{a},{b},{d}}} has nonzero determinant"
+    return True, None
+
+
+def _ref_in_realization_space(cfg, gamma):
+    ok, witness = _ref_in_circuit_variety(cfg, gamma)
+    if not ok:
+        return False, witness
+    for p in cfg.nonloop_points:
+        if not any(gamma.col(p)):
+            return False, f"non-loop point {p} is the zero vector"
+    rep = cfg._parallel_rep_map()
+    for a, b in combinations(cfg.nonloop_points, 2):
+        if rep[a] != rep[b] and cross(gamma.col(a), gamma.col(b)) == ZERO3:
+            return False, f"points {a},{b} coincide but are not parallel"
+    for t in cfg.bases():
+        if det3(*(gamma.col(p) for p in t)) == 0:
+            return False, f"basis {set(t)} is dependent"
+    return True, None
+
+
+def _with_col(gamma, label, v):
+    return Realization(tuple(v if i == label else c for i, c in enumerate(gamma.cols, 1)))
+
+
+@pytest.fixture(scope="module")
+def planted_faults():
+    """name -> (cfg, gamma, a word of the expected witness, or None when gamma
+    is in the realization space), over configurations with lines, a loop and
+    a parallel class."""
+    cactus = random_cactus(0)
+    g = cactus_realization(cactus, 0)
+    loopy = preset("pascal").make_loops({7})
+    h = _with_col(pascal_family_sample(0), 7, vec3(0, 0, 0))
+    xi = xi_limit_config()
+    k = xi_family(F(2), F(3))
+    # p lies on one line only, so moving it along that line keeps every circuit
+    p = next(p for p in cactus.points if cactus.degree(p) == 1)
+    u, v = [x for x in cactus.lines_through(p)[0] if x != p][:2]
+    a, b = next((a, b) for a, b in combinations(cactus.points, 2)
+                if {a, b, p} in map(set, cactus.bases()) and {a, b} & {u, v} == set())
+    cases = [
+        ("cactus as sampled", cactus, g, None),
+        ("column scaled by -3/7", cactus, _with_col(g, 5, vscale(F(-3, 7), g.col(5))), None),
+        ("zero non-loop column", cactus, _with_col(g, 4, vec3(0, 0, 0)), "zero vector"),
+        ("two coincident points", cactus, _with_col(g, p, g.col(u)), "coincide"),
+        ("point off its line", cactus, _with_col(g, p, vec3(*(x + 1 for x in g.col(p)))), "circuit"),
+        ("dependent basis", cactus,
+         _with_col(g, p, meet_lines(g.col(u), g.col(v), g.col(a), g.col(b))), "basis"),
+        ("loop as sampled", loopy, h, None),
+        ("nonzero loop", loopy, _with_col(h, 7, vec3(1, F(1, 2), 3)), "loop 7"),
+        ("xi as given", xi, k, None),
+        ("xi column scaled by -3/7", xi, _with_col(k, 8, vscale(F(-3, 7), k.col(8))), None),
+        ("independent parallel pair", xi, _with_col(k, 2, vec3(1, 1, 2)), "parallel pair"),
+    ]
+    return {name: case for name, *case in cases}
+
+
+@pytest.mark.parametrize("name", [
+    "cactus as sampled", "column scaled by -3/7", "zero non-loop column", "two coincident points",
+    "point off its line", "dependent basis", "loop as sampled", "nonzero loop", "xi as given",
+    "xi column scaled by -3/7", "independent parallel pair",
+])
+def test_membership_on_integer_columns_matches_fraction_reference(planted_faults, name):
+    cfg, gamma, expect = planted_faults[name]
+    assert in_circuit_variety(cfg, gamma) == _ref_in_circuit_variety(cfg, gamma)
+    ok, witness = in_realization_space(cfg, gamma)
+    assert (ok, witness) == _ref_in_realization_space(cfg, gamma)
+    assert ok is (expect is None)
+    assert expect is None or expect in witness
