@@ -116,13 +116,18 @@ class Config:
         reps = {self._rep[p] for p in t}
         return len(reps) < len(t) or any(reps <= l for l in self._collapsed)
 
-    def bases(self) -> list[tuple[int, int, int]]:
-        """All independent 3-subsets of the ground set."""
-        return [
-            t
-            for t in combinations(range(1, self.d + 1), 3)
-            if not self.is_dependent_triple(t)
-        ]
+    def bases(self) -> tuple[tuple[int, int, int], ...]:
+        """All independent 3-subsets of the ground set, in lexicographic order.
+
+        Computed on the first call and kept: membership checks ask for them on
+        every realization, while eval_descriptor builds a new Config per call
+        and never asks.
+        """
+        if "_bases" not in self.__dict__:
+            triples = combinations(range(1, self.d + 1), 3)
+            bases = tuple(t for t in triples if not self.is_dependent_triple(t))
+            object.__setattr__(self, "_bases", bases)
+        return self._bases
 
     def dependency_signature(self) -> frozenset[frozenset[int]]:
         """All dependent subsets of size <= 3 (determines all dependencies)."""

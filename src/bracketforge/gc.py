@@ -86,18 +86,25 @@ class BracketCombo(LinearCombination):
     def eval(self, gamma) -> Fraction:
         """Exact value at gamma as sum c * prod det3, with no expansion.
 
-        Each distinct bracket triple is computed once per call.
+        The brackets are taken on gamma's integer columns, so a monomial is
+        the integer c.numerator * prod det3 over the key c.denominator * prod
+        of its bracket columns' multipliers.  Numerators are summed per key,
+        and each key divides once: a multihomogeneous combination has one
+        key.  Each distinct bracket triple is computed once per call.
         """
         dets: dict = {}
-        total = Fraction(0)
+        sums: dict = {}
         for m, c in self.terms.items():
+            num, key = c.numerator, c.denominator
             for t in m:
                 v = dets.get(t)
                 if v is None:
-                    v = dets[t] = det3(*(gamma.col(p) for p in t))
-                c *= v
-            total += c
-        return total
+                    (x, lx), (y, ly), (z, lz) = (gamma._int_col(p) for p in t)
+                    v = dets[t] = (det3(x, y, z), lx * ly * lz)
+                num *= v[0]
+                key *= v[1]
+            sums[key] = sums.get(key, 0) + num
+        return sum((Fraction(n, k) for k, n in sums.items()), Fraction(0))
 
 
 _TOKEN = re.compile(r"\s*(?:\[([^\]]*)\]|(\d+(?:/\d+)?)|([-+*]))")

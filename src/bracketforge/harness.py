@@ -41,16 +41,14 @@ RETRY_CAP = 100  # attempts a sampler makes before giving up
 # Membership
 
 
-def _integer_cols(cfg: Config, gamma: Realization) -> list[list[int]]:
-    """gamma's columns with their denominators cleared.  A nonzero multiple of
-    a column keeps the zero pattern of every cross product and determinant."""
+def _circuit_witness(cfg: Config, gamma: Realization) -> Optional[str]:
+    """The first dependency of cfg violated by gamma, or None.
+
+    Reads gamma's integer columns: a nonzero multiple of a column keeps the
+    zero pattern of every cross product and determinant."""
     if gamma.d != cfg.d:
         raise FixtureError("realization size does not match configuration")
-    return _integer_rows(gamma.cols)[0]
-
-
-def _circuit_witness(cfg: Config, cols: list[list[int]]) -> Optional[str]:
-    """The first dependency of cfg violated by the columns, or None."""
+    cols = gamma._integer_view[0]
     for p in sorted(cfg.loops):
         if any(cols[p - 1]):
             return f"loop {p} is nonzero"
@@ -71,7 +69,7 @@ def in_circuit_variety(cfg: Config, gamma: Realization):
     Checks 3-circuits, zero loop columns, and pairwise dependence inside
     parallel classes; witness names the first violated dependency.
     """
-    witness = _circuit_witness(cfg, _integer_cols(cfg, gamma))
+    witness = _circuit_witness(cfg, gamma)
     return witness is None, witness
 
 
@@ -86,10 +84,10 @@ def in_realization_space(cfg: Config, gamma: Realization):
     independence across parallel classes, and nonzero determinant for every
     independent triple (every basis of the configuration).
     """
-    cols = _integer_cols(cfg, gamma)
-    witness = _circuit_witness(cfg, cols)
+    witness = _circuit_witness(cfg, gamma)
     if witness is not None:
         return False, witness
+    cols = gamma._integer_view[0]
     for p in cfg.nonloop_points:
         if not any(cols[p - 1]):
             return False, f"non-loop point {p} is the zero vector"

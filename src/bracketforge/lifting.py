@@ -343,7 +343,8 @@ def q_general_position(cfg: Config, gamma: Realization, q: Vec3) -> bool:
     """q outside every realized line and every point span."""
     if not any(q):
         return False
-    *cols, q = _integer_rows(gamma.cols + (q,))[0]
+    cols = gamma._integer_view[0]
+    (q,), _ = _integer_rows([q])
     for p in cfg.nonloop_points:
         v = cols[p - 1]
         if any(v) and not any(cross(v, q)):

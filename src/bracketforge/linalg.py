@@ -1,10 +1,14 @@
 """Exact rational linear algebra over Q^3.
 
-There are no tolerances anywhere. Vectors are 3-tuples of Fraction, and
-vector arithmetic runs on Fraction. Matrices are lists of row lists with int
-or Fraction entries. Rank, RREF, kernels and determinants clear each row's
-denominators and then eliminate on integer rows, fraction-free (Bareiss), so
-only their outputs are Fractions, and those are exact.
+There are no tolerances anywhere. Vectors are 3-tuples of Fraction; the
+vector helpers (cross, dot, det3) work on int 3-tuples as well. Matrices are
+lists of row lists with int or Fraction entries. Rank, RREF, kernels and
+determinants clear each row's denominators and then eliminate on integer rows,
+fraction-free (Bareiss), so only their outputs are Fractions, and those are
+exact. A Realization clears its columns' denominators once, on first use, and
+the membership checks and the bracket and polynomial evaluators read those
+integer columns: a value is an integer sum divided once by the product of the
+column multipliers it involves.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 Vec3 = tuple[Fraction, Fraction, Fraction]
@@ -102,19 +107,20 @@ def meet_lines(a1: Vec3, a2: Vec3, b1: Vec3, b2: Vec3) -> Vec3:
 # Generic exact matrices (rows of int or Fraction entries)
 
 
-def _integer_rows(m: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
-    """Each row of m times the lcm of its denominators, and the product of
-    those multipliers.  Scaling a row keeps the rank, the RREF and the kernel."""
+def _integer_rows(m: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
+    """Each row of m times the lcm of its denominators, and those positive
+    multipliers, one per row.  Scaling a row keeps the rank, the RREF and the
+    kernel."""
     cols = len(m[0]) if m else 0
     a: list[list[int]] = []
-    scale = 1
+    mults: list[int] = []
     for row in m:
         if len(row) != cols:
             raise ValueError("ragged matrix: rows have different lengths")
         den = math.lcm(*(x.denominator for x in row))
         a.append([x.numerator * (den // x.denominator) for x in row])
-        scale *= den
-    return a, scale
+        mults.append(den)
+    return a, mults
 
 
 def _eliminate(a: list[list[int]], reduce: bool) -> list[int]:
@@ -195,7 +201,7 @@ def det_exact(m: Sequence[Sequence[Fraction]]) -> Fraction:
         return Fraction(1)
     if any(len(row) != n for row in m):
         raise ValueError("determinant needs a square matrix")
-    a, scale = _integer_rows(m)
+    a, mults = _integer_rows(m)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -210,7 +216,7 @@ def det_exact(m: Sequence[Sequence[Fraction]]) -> Fraction:
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
             a[i][k] = 0
         prev = a[k][k]
-    return Fraction(sign * a[n - 1][n - 1], scale)
+    return Fraction(sign * a[n - 1][n - 1], math.prod(mults))
 
 
 def rank_vectors(vectors: Iterable[Vec3]) -> int:
@@ -237,11 +243,27 @@ class Realization:
             raise IndexError(f"label {label} out of range 1..{self.d}")
         return self.cols[label - 1]
 
+    @cached_property
+    def _integer_view(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """(integer columns, multipliers), computed once per realization:
+        cols[i] == ints[i] / mults[i], where mults[i] > 0 is the lcm of
+        column i's denominators.  A positive multiple of a column keeps the
+        zero pattern and the sign of every cross product and determinant."""
+        ints, mults = _integer_rows(self.cols)
+        return tuple(map(tuple, ints)), tuple(mults)
+
+    def _int_col(self, label: int) -> tuple[tuple[int, ...], int]:
+        """col(label) as (integer vector, multiplier); see _integer_view."""
+        if not 1 <= label <= self.d:
+            raise IndexError(f"label {label} out of range 1..{self.d}")
+        ints, mults = self._integer_view
+        return ints[label - 1], mults[label - 1]
+
     def restrict(self, labels: Sequence[int]) -> "Realization":
         return Realization(tuple(self.col(i) for i in labels))
 
     def rank(self) -> int:
-        return rank_vectors(self.cols)
+        return len(_eliminate(list(self._integer_view[0]), reduce=False))
 
     def as_rows(self) -> list[list[Fraction]]:
         return [[self.cols[c][r] for c in range(self.d)] for r in range(3)]

@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Mapping, Optional, Sequence, Union
 
-from .linalg import Realization, Vec3, det_exact, vec3
+from .linalg import Realization, Vec3, _integer_rows, det_exact, vec3
 
 # A variable is ("x", col, row) or ("q", row).
 Var = tuple
@@ -223,21 +223,34 @@ class BracketPoly(LinearCombination):
     # -- evaluation --------------------------------------------------------
 
     def eval(self, gamma: Realization, q: Optional[Vec3] = None) -> Fraction:
+        """Exact value at gamma (and q), on integer columns.
+
+        A variable reads its entry of gamma's integer column, or of q with
+        q's denominators cleared, together with that vector's multiplier.  A
+        monomial is the integer c.numerator * prod entry^e over the key
+        c.denominator * prod multiplier^e; numerators are summed per key and
+        each key divides once.
+        """
         if q is None and self.mentions_q():
             raise ValueError("polynomial mentions q but no q value given")
-
-        def value(v: Var) -> Fraction:
-            if v[0] == "x":
-                return gamma.col(v[1])[v[2]]
-            return q[v[1]]
-
-        total = Fraction(0)
+        if q is not None:
+            (q_ints,), (q_mult,) = _integer_rows([q])
+        values: dict = {}
+        sums: dict = {}
         for m, c in self.terms.items():
-            t = c
+            num, key = c.numerator, c.denominator
             for v, e in m:
-                t *= value(v) ** e
-            total += t
-        return total
+                val = values.get(v)
+                if val is None:
+                    if v[0] == "x":
+                        ints, mult = gamma._int_col(v[1])
+                        val = values[v] = (ints[v[2]], mult)
+                    else:
+                        val = values[v] = (q_ints[v[1]], q_mult)
+                num *= val[0] ** e
+                key *= val[1] ** e
+            sums[key] = sums.get(key, 0) + num
+        return sum((Fraction(n, k) for k, n in sums.items()), Fraction(0))
 
 
 # ---------------------------------------------------------------------------

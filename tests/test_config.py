@@ -222,3 +222,18 @@ def test_cactus_implies_nilpotent():
     for name in ("cactus14", "line:5", "cycle:3:3", "cycle:4:4"):
         assert cactus_check(preset(name)).is_cactus
         assert is_nilpotent(preset(name))
+
+
+def test_bases_are_kept_and_match_a_fresh_computation():
+    from bracketforge.config import _FIXED_PRESETS
+    from bracketforge.harness import random_cactus
+
+    cfgs = [preset(n) for n in sorted(_FIXED_PRESETS)] + [preset("line:5"), preset("cycle:4:4")]
+    cfgs += [random_cactus(s) for s in range(20)]
+    for cfg in cfgs:
+        fresh = tuple(t for t in combinations(cfg.points, 3) if not cfg.is_dependent_triple(t))
+        first = cfg.bases()
+        assert type(first) is tuple and first == fresh
+        assert cfg.bases() is first
+        assert Config(cfg.d, cfg.lines, cfg.loops, cfg.parallel).bases() == fresh
+    assert "bases" in Config.__dict__

@@ -285,3 +285,85 @@ def test_gm_generators_vanish_on_qs_and_cactus():
         g = cactus_realization(cactus, seed)
         for c in gm_generators(cactus, depth=1):
             assert c.eval(g) == 0
+
+
+# ---------------------------------------------------------------------------
+# BracketCombo.eval on integer columns against the Fraction evaluator
+
+
+def _fraction_eval(combo, gamma, dets):
+    """sum c * prod det3 on the Fraction columns: the evaluator
+    BracketCombo.eval used before it read integer columns.  `dets` keeps each
+    triple's determinant at gamma across calls."""
+    total = F(0)
+    for m, c in combo.terms.items():
+        for t in m:
+            v = dets.get(t)
+            if v is None:
+                v = dets[t] = det3(*(gamma.col(p) for p in t))
+            c *= v
+        total += c
+    return total
+
+
+def _assert_matches_fraction_eval(combos, gamma):
+    dets = {}
+    for c in combos:
+        value = c.eval(gamma)
+        assert type(value) is F
+        assert value == _fraction_eval(c, gamma, dets), c.to_text()
+
+
+@pytest.fixture(scope="module")
+def cactus_orbit():
+    from bracketforge.ideals import cactus_generators
+
+    cfg = random_cactus(0)
+    gens = cactus_generators(cfg, 2)
+    return cfg, gens.circuit + gens.gc
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_eval_matches_fraction_eval_on_cactus_orbit(cactus_orbit, seed):
+    """Every depth-2 generator of random_cactus(0): zero at a sampled
+    realization, and the Fraction value (mostly nonzero) once its columns
+    are permuted."""
+    from bracketforge.harness import cactus_realization
+
+    cfg, orbit = cactus_orbit
+    gamma = cactus_realization(cfg, seed)
+    assert all(c.eval(gamma) == 0 for c in orbit)
+    _assert_matches_fraction_eval(orbit, gamma)
+    cols = list(gamma.cols)
+    random.Random(seed).shuffle(cols)
+    permuted = Realization(tuple(cols))
+    assert sum(c.eval(permuted) != 0 for c in orbit) > len(orbit) // 2
+    _assert_matches_fraction_eval(orbit, permuted)
+
+
+def test_eval_matches_fraction_eval_on_edge_cases():
+    rng = random.Random(11)
+    combos = [
+        parse_bracket_text("3/2*[1 2 4][3 5 6] - [1 2 3]"),  # rational coefficient
+        parse_bracket_text("[1 2 3] + 2"),  # not homogeneous
+        parse_bracket_text("-5/7*[1 2 3][1 4 5][2 4 6] + 1/3*[1 2 4][1 3 5][2 3 6]"),
+        BracketCombo.zero(),
+        BracketCombo.const(F(-4, 9)),
+    ]
+    big = [F(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)) for _ in range(18)]
+    gammas = [
+        rand_realization(rng, 6),
+        Realization(tuple(vec3(*big[3 * i:3 * i + 3]) for i in range(6))),
+        Realization((vec3(0, 0, 0),) + rand_realization(rng, 5).cols),  # a zero column
+        Realization(tuple(vec3(*(F(1, 10**6 - i - r) for r in range(3))) for i in range(6))),
+    ]
+    for gamma in gammas:
+        _assert_matches_fraction_eval(combos, gamma)
+    assert combos[1].eval(gammas[2]) == 2
+
+
+@pytest.mark.parametrize("text, label", [("[0 1 2]", 0), ("[1 2 7]", 7), ("[1 2 3][4 5 9]", 9)])
+def test_eval_rejects_labels_outside_the_realization(text, label):
+    gamma = rand_realization(random.Random(1), 6)
+    with pytest.raises(IndexError, match=f"label {label} out of range 1..6"):
+        parse_bracket_text(text).eval(gamma)

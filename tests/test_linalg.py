@@ -245,3 +245,18 @@ def test_realization_restrict_relabels():
     assert h.d == 2
     assert h.col(1) == vec3(2, 0, 1)
     assert h.col(2) == vec3(4, 0, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(vecs, max_size=6))
+def test_realization_integer_view(cols):
+    gamma = Realization(tuple(vec3(*v) for v in cols))
+    ints, mults = gamma._integer_view
+    assert gamma._integer_view is gamma._integer_view  # computed once
+    for c, v, m in zip(gamma.cols, ints, mults):
+        assert m > 0 and all(type(x) is int for x in v)
+        assert tuple(F(x, m) for x in v) == c
+    assert gamma.rank() == rank_vectors(gamma.cols)
+    for label in (0, len(cols) + 1):
+        with pytest.raises(IndexError, match=f"label {label} out of range"):
+            gamma._int_col(label)

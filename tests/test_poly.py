@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -175,3 +175,76 @@ def test_equality_needs_the_same_type():
     assert BracketPoly.const(1) != BracketCombo.const(1)
     assert BracketPoly.const(1).terms == BracketCombo.const(1).terms
     assert BracketPoly.zero() != BracketCombo.zero()
+
+
+# ---------------------------------------------------------------------------
+# BracketPoly.eval on integer columns against the Fraction evaluator
+
+
+def _fraction_eval(poly, gamma, q=None):
+    """sum c * prod value^e on Fraction entries: the evaluator BracketPoly.eval
+    used before it read integer columns."""
+    total = F(0)
+    for m, c in poly.terms.items():
+        t = c
+        for v, e in m:
+            t *= (gamma.col(v[1])[v[2]] if v[0] == "x" else q[v[1]]) ** e
+        total += t
+    return total
+
+
+def _assert_matches_fraction_eval(polys, gamma, q=None):
+    for p in polys:
+        value = p.eval(gamma, q)
+        assert type(value) is F
+        assert value == _fraction_eval(p, gamma, q), p.to_text()
+
+
+def test_eval_matches_fraction_eval_on_qs_minors():
+    """All 15 symbolic-q 4x4 minors of the complete quadrilateral's lifting
+    matrix, at random realizations and rational q."""
+    from bracketforge.config import preset
+    from bracketforge.lifting import QScheme, lift_matrix
+
+    sym = lift_matrix(preset("qs"), QScheme.symbolic())
+    minors = [sym.minor((0, 1, 2, 3), cols) for cols in combinations(range(6), 4)]
+    assert len(minors) == 15 and all(p.mentions_q() for p in minors)
+    rng = random.Random(13)
+    for _ in range(2):
+        gamma = rand_realization(rng, 6)
+        q = vec3(*(F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(3)))
+        _assert_matches_fraction_eval(minors, gamma, q)
+        assert any(p.eval(gamma, q) != 0 for p in minors)
+
+
+def test_eval_matches_fraction_eval_on_edge_cases():
+    rng = random.Random(17)
+    x = BracketPoly.variable
+    polys = [
+        BracketCombo.const(F(3, 2)).expand() * bracket(1, 2, 4) * bracket(3, 5, 6) - bracket(1, 2, 3),
+        bracket(1, 2, 3) + BracketPoly.const(2),  # not homogeneous
+        x(("x", 2, 1)) * x(("x", 2, 1)) * x(("x", 4, 0)).scale(F(-5, 7)) + x(("x", 1, 2)),
+        bracket(1, const_col((F(1, 3), 2, F(-7, 10**6))), Q_COL) * x(("q", 2)),
+        BracketPoly.zero(),
+        BracketPoly.const(F(-4, 9)),
+    ]
+    big = [F(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)) for _ in range(18)]
+    gammas = [
+        rand_realization(rng, 6),
+        Realization(tuple(vec3(*big[3 * i:3 * i + 3]) for i in range(6))),
+        Realization((vec3(0, 0, 0),) + rand_realization(rng, 5).cols),  # a zero column
+    ]
+    for gamma in gammas:
+        for q in (vec3(F(2, 3), F(-1, 10**6), 5), vec3(0, 0, 0)):
+            _assert_matches_fraction_eval(polys, gamma, q)
+    assert polys[1].eval(gammas[2]) == 2
+
+
+def test_eval_rejects_labels_outside_the_realization():
+    gamma = rand_realization(random.Random(1), 6)
+    with pytest.raises(IndexError, match="label 0 out of range 1..6"):
+        BracketPoly.variable(("x", 0, 0)).eval(gamma)
+    with pytest.raises(IndexError, match="label 7 out of range 1..6"):
+        bracket(1, 2, 7).eval(gamma)
+    with pytest.raises(ValueError, match="mentions q"):
+        bracket(1, 2, Q_COL).eval(gamma)
