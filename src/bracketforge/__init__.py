@@ -35,7 +35,7 @@ from .linalg import (
     rref,
     vec3,
 )
-from .poly import BracketPoly, bracket, lazy_minor_eval, symbolic_minor
+from .poly import BracketPoly, bracket, symbolic_minor
 from .gc import (
     BracketCombo,
     GCExpr,
@@ -63,7 +63,6 @@ from .ideals import (
     cactus_generators,
     circuit_generators,
     gc_generators_preset,
-    lifting_generators_preset,
 )
 from .harness import (
     Fixture,

@@ -3,13 +3,15 @@
 Every subcommand prints one JSON document to standard output (pretty-printed
 with --pretty) and exits 0 on success, 1 on a verification failure or
 violated hypothesis, 2 on usage errors.  Errors are one-line documents
-{"error": message}.
+{"error": message}.  When standard output is closed before the document is
+written, nothing is printed and the exit code is 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -38,7 +40,8 @@ def load_config(source: str) -> Config:
 
 
 def emit(doc, pretty: bool) -> None:
-    print(json.dumps(doc, indent=2 if pretty else None, sort_keys=True))
+    # flushed here, so that a closed standard output fails inside main()
+    print(json.dumps(doc, indent=2 if pretty else None, sort_keys=True), flush=True)
 
 
 def cmd_describe(args) -> int:
@@ -306,6 +309,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    try:
+        return _run(argv)
+    except BrokenPipeError:
+        # the reader has gone: print nothing more, and point standard output
+        # at devnull so that the flush at interpreter exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+
+
+def _run(argv) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)

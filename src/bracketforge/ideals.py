@@ -1,15 +1,15 @@
-"""Assembly of the three generator families for matroid ideals.
+"""Assembly of the circuit and Grassmann-Cayley generator families.
 
-For a configuration the families are: circuit brackets (one per 3-circuit),
-Grassmann-Cayley polynomials (from meets of concurrent lines), and lifting
-polynomials (minors of liftability matrices, kept as streaming descriptors
-because of their count).
+For a configuration these are the circuit brackets (one per 3-circuit) and
+the Grassmann-Cayley polynomials (from meets of concurrent lines).  The third
+family, the lifting polynomials, are minors of liftability matrices; because
+of their count `lifting` streams them as descriptors (`iter_descriptors`,
+`minor_count`) instead of assembling them here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .config import Config, cactus_check, q_points, subset_has_cycle
 from .gc import (
@@ -24,7 +24,6 @@ from .gc import (
     parse_bracket_text,
     point_expr,
 )
-from .lifting import iter_descriptors, minor_count
 
 
 class HypothesisError(ValueError):
@@ -36,13 +35,6 @@ class GeneratorSet:
     cfg: Config
     circuit: list[BracketCombo]
     gc: list[BracketCombo]
-    lifting_preset: Optional[str] = None
-    lifting_count: int = 0
-
-    def lifting_descriptors(self, limit: Optional[int] = None):
-        if self.lifting_preset is None:
-            return iter(())
-        return iter_descriptors(self.lifting_preset, limit)
 
 
 def circuit_generators(cfg: Config) -> list[BracketCombo]:
@@ -143,22 +135,6 @@ def gc_generators_preset(preset_name: str) -> list[BracketCombo]:
                 f"its published form"
             )
     return derived
-
-
-def lifting_generators_preset(preset_name: str) -> GeneratorSet:
-    from .config import preset
-
-    if preset_name not in ("pascal", "pappus", "qs"):
-        raise HypothesisError(f"no lifting generator recipe for {preset_name!r}")
-    cfg = preset(preset_name)
-    gc = gc_generators_preset(preset_name) if preset_name in ("pascal", "pappus") else []
-    return GeneratorSet(
-        cfg=cfg,
-        circuit=circuit_generators(cfg),
-        gc=gc,
-        lifting_preset=preset_name,
-        lifting_count=minor_count(preset_name),
-    )
 
 
 DEFAULT_GM_DEPTH = 2

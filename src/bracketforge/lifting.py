@@ -7,9 +7,11 @@ kernel at a planar collection gamma parametrizes the ways to lift gamma out
 of its plane along the direction q while preserving the circuits to first
 order.
 
-`lift_matrix` builds the matrix of polynomials.  Verdicts (descriptor minors,
-lifting dimensions, liftings) build its value at gamma directly from cross
-products, [u v q] = dot(cross(gamma_u, gamma_v), q), in the same layout.
+`lift_matrix` builds the matrix of polynomials, with one symbolic q or one
+fixed q vector per column (`QScheme`); a fixed q shared by all columns is the
+symbolic matrix evaluated at q.  Verdicts (descriptor minors, lifting
+dimensions, liftings) build its value at gamma directly from cross products,
+[u v q] = dot(cross(gamma_u, gamma_v), q), in the same layout.
 """
 
 from __future__ import annotations
@@ -36,10 +38,9 @@ from .linalg import (
     rank,
     rank_vectors,
     vadd,
-    vec3,
     vscale,
 )
-from .poly import BracketPoly, Q_COL, bracket, const_col, lazy_minor_eval, symbolic_minor
+from .poly import BracketPoly, Q_COL, _select, bracket, const_col, symbolic_minor
 
 
 class LiftingError(ValueError):
@@ -51,51 +52,19 @@ ZERO = Fraction(0)
 
 @dataclass(frozen=True)
 class QScheme:
-    """How the direction vector q enters the matrix entries.
+    """How the direction vector q enters the matrix entries: one symbolic q
+    shared by every column (per_column None), or one fixed vector per
+    column, used by the brackets in that column."""
 
-    kind "symbolic": one symbolic q shared by every entry.
-    kind "concrete": one fixed vector in Q^3.
-    kind "per-column": one basis vector e1/e2/e3 per column; the brackets in
-    column i use that column's vector.
-    """
-
-    kind: str
-    value: Optional[Vec3] = None
     per_column: Optional[tuple[Vec3, ...]] = None
-
-    def __post_init__(self):
-        if self.kind == "symbolic":
-            if self.value is not None or self.per_column is not None:
-                raise LiftingError("symbolic scheme takes no vectors")
-        elif self.kind == "concrete":
-            if self.value is None or self.per_column is not None:
-                raise LiftingError("concrete scheme needs one vector")
-        elif self.kind == "per-column":
-            if self.per_column is None or self.value is not None:
-                raise LiftingError("per-column scheme needs a vector per column")
-            if any(v not in BASIS for v in self.per_column):
-                raise LiftingError("per-column vectors must be basis vectors")
-        else:
-            raise LiftingError(f"unknown scheme kind {self.kind!r}")
 
     @staticmethod
     def symbolic() -> "QScheme":
-        return QScheme("symbolic")
-
-    @staticmethod
-    def concrete(v: Sequence) -> "QScheme":
-        return QScheme("concrete", value=vec3(*v))
+        return QScheme()
 
     @staticmethod
     def per_col(vectors: Sequence[Vec3]) -> "QScheme":
-        return QScheme("per-column", per_column=tuple(vectors))
-
-    def q_column(self, col: int) -> tuple[BracketPoly, ...]:
-        if self.kind == "symbolic":
-            return Q_COL
-        if self.kind == "concrete":
-            return const_col(self.value)
-        return const_col(self.per_column[col - 1])
+        return QScheme(tuple(vectors))
 
 
 @dataclass(frozen=True)
@@ -124,7 +93,7 @@ class LiftMatrix:
         gamma: Realization,
         q: Optional[Vec3] = None,
     ) -> Fraction:
-        return lazy_minor_eval(self.entries, rows, cols, gamma, q)
+        return det_exact(_select(self.evaluate(gamma, q), rows, cols))
 
     def bracket_text(self) -> list[list[str]]:
         """Shorthand like "[23 q1]" mirroring how such matrices are printed."""
@@ -132,7 +101,7 @@ class LiftMatrix:
         for entries in _circuit_rows(self.cfg):
             row = ["0"] * self.cfg.d
             for col, (u, v), sign in entries:
-                qname = "q" if self.scheme.kind != "per-column" else f"q{col}"
+                qname = "q" if self.scheme.per_column is None else f"q{col}"
                 row[col - 1] = f"{'-' if sign < 0 else ''}[{u}{v} {qname}]"
             out.append(row)
         return out
@@ -149,14 +118,15 @@ def _circuit_rows(cfg: Config) -> list[tuple[tuple[int, tuple[int, int], int], .
 
 def lift_matrix(cfg: Config, scheme: QScheme) -> LiftMatrix:
     cfg._require_simple()
-    if scheme.kind == "per-column" and len(scheme.per_column) != cfg.d:
+    q_cols = scheme.per_column
+    if q_cols is not None and len(q_cols) != cfg.d:
         raise LiftingError("per-column scheme length must equal d")
     layout = _circuit_rows(cfg)
     rows = []
     for entries in layout:
         row = [BracketPoly.zero()] * cfg.d
         for col, (u, v), sign in entries:
-            p = bracket(u, v, scheme.q_column(col))
+            p = bracket(u, v, Q_COL if q_cols is None else const_col(q_cols[col - 1]))
             row[col - 1] = p if sign > 0 else -p
         rows.append(tuple(row))
     circuits = tuple(tuple(col for col, _, _ in entries) for entries in layout)

@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Mapping, Optional, Sequence, Union
 
-from .linalg import Realization, Vec3, _integer_rows, det_exact, vec3
+from .linalg import Realization, Vec3, _integer_rows, vec3
 
 # A variable is ("x", col, row) or ("q", row).
 Var = tuple
@@ -316,19 +316,3 @@ def symbolic_minor(entries: PolyMatrix, rows: Sequence[int], cols: Sequence[int]
     Intended for small minors (4 x 4 and below); cost is k! products.
     """
     return _det(_select(entries, rows, cols))
-
-
-def lazy_minor_eval(
-    entries: PolyMatrix,
-    rows: Sequence[int],
-    cols: Sequence[int],
-    gamma: Realization,
-    q: Optional[Vec3] = None,
-) -> Fraction:
-    """Evaluate entries first, then take an exact numeric determinant.
-
-    Agrees with eval(symbolic_minor(...)) but stays cheap for large minors.
-    """
-    sub = _select(entries, rows, cols)
-    numeric = [[p.eval(gamma, q) for p in row] for row in sub]
-    return det_exact(numeric)

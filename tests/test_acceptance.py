@@ -314,17 +314,17 @@ def test_criterion_9_property_suites():
         if not proportional(vec, pt):
             meet_ok = False
         checked += 1
-    # concrete and symbolic q schemes agree
+    # one q vector in every column agrees with the symbolic q scheme
     qs = preset("qs")
     sym = lift_matrix(qs, QScheme.symbolic())
     scheme_ok = True
     for _ in range(10):
         qv = vec3(*(F(rng.randint(-5, 5)) for _ in range(3)))
-        conc = lift_matrix(qs, QScheme.concrete(qv))
+        conc = lift_matrix(qs, QScheme.per_col((qv,) * 6))
         g = rand_realization(rng, 6)
         if sym.evaluate(g, qv) != conc.evaluate(g):
             scheme_ok = False
-    # lazy and symbolic minors agree on all 15 QS 4x4 minors
+    # evaluated and expanded minors agree on all 15 QS 4x4 minors
     from itertools import combinations
 
     minor_ok = True
@@ -341,5 +341,5 @@ def test_criterion_9_property_suites():
         9,
         ok,
         f"alternation {alt_ok}, multilinearity {mult_ok}, eval homomorphism {hom_ok}, "
-        f"meet duality {meet_ok}, concrete-vs-symbolic {scheme_ok}, lazy-vs-symbolic {minor_ok}",
+        f"meet duality {meet_ok}, concrete-vs-symbolic {scheme_ok}, evaluated-vs-symbolic {minor_ok}",
     )

@@ -1,9 +1,14 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bracketforge
 from bracketforge.cli import main
 
 
@@ -183,3 +188,24 @@ def test_cli_contract_bad_input(tmp_path, capsys, command, bad):
 def test_malformed_preset_name_keeps_its_reason(name, reason):
     code, doc = run(["describe", "--config", name])
     assert code == 1 and reason in doc["error"]
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [["describe", "--config", "pappus"],
+                                  ["describe", "--config", "no-such-thing"]],
+                         ids=["document", "error"])
+def test_closed_stdout_exits_1_without_traceback(argv, unbuffered):
+    """A reader that closes the pipe before anything is written (as
+    `bracketforge describe ... | true` can) gets no traceback on stderr, with
+    standard output buffered or not."""
+    env = dict(os.environ, PYTHONPATH=str(Path(bracketforge.__file__).parent.parent))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    code = "import sys; from bracketforge.cli import main; sys.exit(main())"
+    with subprocess.Popen([sys.executable, "-c", code, *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        proc.stdout.close()  # at once: the child is still importing the package
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert err == b""

@@ -14,7 +14,6 @@ from bracketforge.ideals import (
     cactus_generators,
     circuit_generators,
     gc_generators_preset,
-    lifting_generators_preset,
     pappus_gc_expressions,
     pascal_gc_expressions,
 )
@@ -60,14 +59,6 @@ def test_gc_generators_vanish():
 def test_gc_generators_unknown_preset():
     with pytest.raises(HypothesisError):
         gc_generators_preset("fano")
-
-
-def test_lifting_generator_set():
-    gs = lifting_generators_preset("pascal")
-    assert len(gs.circuit) == 7
-    assert len(gs.gc) == 7
-    assert gs.lifting_count == 708_588
-    assert len(list(gs.lifting_descriptors(12))) == 12
 
 
 def test_cactus_generators_requires_cactus():

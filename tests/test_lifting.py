@@ -55,16 +55,33 @@ def test_qs_matrix_entries_match_expected_form():
 
 
 def test_concrete_matches_symbolic():
+    """One fixed q in every column is the symbolic matrix evaluated at q."""
     cfg = preset("qs")
     sym = lift_matrix(cfg, QScheme.symbolic())
     rng = random.Random(0)
     for _ in range(5):
         q = vec3(*(F(rng.randint(-5, 5)) for _ in range(3)))
-        conc = lift_matrix(cfg, QScheme.concrete(q))
+        conc = lift_matrix(cfg, QScheme.per_col((q,) * cfg.d))
         g = Realization(
             tuple(vec3(*(F(rng.randint(-5, 5)) for _ in range(3))) for _ in range(6))
         )
         assert sym.evaluate(g, q) == conc.evaluate(g)
+
+
+def test_per_column_scheme_length_must_equal_d():
+    cfg = preset("qs")
+    with pytest.raises(LiftingError, match="length"):
+        lift_matrix(cfg, QScheme.per_col((E1,) * (cfg.d - 1)))
+    assert lift_matrix(cfg, QScheme.per_col((E1, E2, E3) * 2)).bracket_text()[0][:3] == [
+        "[23 q1]", "-[13 q2]", "[12 q3]"
+    ]
+
+
+def test_minor_eval_checks_realization_size():
+    m = lift_matrix(preset("qs"), QScheme.symbolic())
+    with pytest.raises(LiftingError, match="size"):
+        m.minor_eval((0, 1, 2, 3), (0, 1, 2, 3), collinear_realization(preset("line:5"), 0),
+                     vec3(1, 2, 5))
 
 
 def test_minor_counts():
@@ -125,7 +142,7 @@ def check_lifting_verdicts(cfg, g, q):
     len(K).  trivial_lifting_dim is dim(K & rowspace g), the kernel vectors
     z_i = h(g_i), by the dimension formula for an intersection of subspaces.
     construct_lifting finds a rank-3 lifting exactly when K holds more."""
-    kernel = kernel_basis(lift_matrix(cfg, QScheme.concrete(q)).evaluate(g))
+    kernel = kernel_basis(lift_matrix(cfg, QScheme.symbolic()).evaluate(g, q))
     rows = g.as_rows()
     dim, trivial = lift_dim(cfg, g, q), trivial_lifting_dim(cfg, g, q)
     assert dim == len(kernel)
@@ -203,13 +220,14 @@ def test_qs_minors_separate_liftable_from_generic_collinear():
     from bracketforge.harness import quadrilateral_set_flat
 
     cfg = preset("qs")
-    m = lift_matrix(cfg, QScheme.concrete((F(1), F(2), F(5))))
+    m = lift_matrix(cfg, QScheme.symbolic())
+    q = vec3(1, 2, 5)
     flat = quadrilateral_set_flat(7)
-    assert rank(m.evaluate(flat)) <= 3
+    assert rank(m.evaluate(flat, q)) <= 3
     generic = collinear_realization(cfg, seed=7)
-    assert rank(m.evaluate(generic)) == 4
+    assert rank(m.evaluate(generic, q)) == 4
     assert any(
-        m.minor_eval((0, 1, 2, 3), cols, generic) != 0 for cols in combinations(range(6), 4)
+        m.minor_eval((0, 1, 2, 3), cols, generic, q) != 0 for cols in combinations(range(6), 4)
     )
 
 

@@ -114,15 +114,19 @@ def test_eval_descriptor_input_checks():
 
 @pytest.mark.parametrize("name", ["qs", "pascal", "line:5", "cycle:4:4", "cactus14"])
 def test_numeric_rows_match_concrete_lift_matrix(name):
+    """The numeric rows, and the matrix with q fixed in every column, are the
+    symbolic matrix evaluated at q."""
     cfg = preset(name)
     q = vec3(3, -1, 7)
-    m = lift_matrix(cfg, QScheme.concrete(q))
+    m = lift_matrix(cfg, QScheme.symbolic())
+    uniform = lift_matrix(cfg, QScheme.per_col((q,) * cfg.d))
     points = [collinear_realization(cfg, 0)] + generic_points(2, cfg.d)
     for gamma in points:
-        assert _numeric_rows(cfg, gamma, (q,) * cfg.d) == m.evaluate(gamma)
+        assert _numeric_rows(cfg, gamma, (q,) * cfg.d) == m.evaluate(gamma, q)
+        assert uniform.evaluate(gamma) == m.evaluate(gamma, q)
     # a submatrix is the selected rows and columns of the full one
     gamma = points[-1]
-    full = m.evaluate(gamma)
+    full = m.evaluate(gamma, q)
     rows = tuple(range(0, len(full), 2))
     for cols in list(combinations(range(cfg.d), 3))[:5]:
         sub = _numeric_rows(cfg, gamma, (q,) * cfg.d, rows, cols)

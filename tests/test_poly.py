@@ -13,10 +13,8 @@ from bracketforge.poly import (
     BracketPoly,
     bracket,
     const_col,
-    lazy_minor_eval,
     point,
     sort_sign,
-    symbolic_minor,
 )
 
 fracs = st.fractions(min_value=-9, max_value=9, max_denominator=6)
@@ -97,17 +95,6 @@ def test_total_degree_and_columns():
     assert p.total_degree() == 6
     assert p.columns() == {1, 2, 3, 4, 5}
     assert not p.mentions_q()
-
-
-def test_symbolic_vs_lazy_minor():
-    rng = random.Random(9)
-    for _ in range(4):
-        entries = [[bracket(*rng.sample(range(1, 6), 3)) for _ in range(3)] for _ in range(3)]
-        rows, cols = (0, 1, 2), (0, 1, 2)
-        sym = symbolic_minor(entries, rows, cols)
-        for _ in range(3):
-            g = rand_realization(rng, 5)
-            assert sym.eval(g) == lazy_minor_eval(entries, rows, cols, g)
 
 
 def test_to_text_round_shape():

@@ -1,10 +1,12 @@
-"""The benchmark tracer finds every method and function it reads by name.
+"""The benchmark finds every method and function it reads by name.
 
 perfbench/spans.py looks each traced method up in its class's own __dict__,
 so moving one of them into a base class would silently stop it being traced.
 It wraps only public module-level functions, and the benchmark looks some of
-them up by span name, so inlining one would crash a traced run.  The file is
-parsed, not imported or executed.
+them up by span name, so inlining one would crash a traced run.  The
+workloads and the runner call the package through attribute chains such as
+bf.lifting.QScheme.symbolic, so deleting or renaming one of those names
+would crash a benchmark run.  The files are parsed, not imported or executed.
 """
 
 import ast
@@ -14,7 +16,8 @@ from pathlib import Path
 
 from bracketforge.config import Config
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def spans_constant(name: str):
@@ -51,3 +54,51 @@ def test_every_function_read_by_name_is_a_traced_public_function():
         assert not attr.startswith("_") and inspect.isfunction(fn), f"{name} is not a function"
         assert fn.__module__ == mod.__name__, f"{name} is defined in {fn.__module__}"
         assert not inspect.isgeneratorfunction(fn), f"{name} is a generator function"
+
+
+def _chain(node) -> list[str]:
+    """The dotted names of an attribute chain a.b.c, or [] if it does not
+    start at a plain name."""
+    names = []
+    while isinstance(node, ast.Attribute):
+        names.append(node.attr)
+        node = node.value
+    return [node.id] + names[::-1] if isinstance(node, ast.Name) else []
+
+
+def package_chains(path: Path) -> set[tuple[str, ...]]:
+    """Every chain a file reads from the package `bf`, as (module, name, ...).
+
+    Inside each function, a name bound to a package module (h = bf.harness)
+    stands for that module, so h.generic_q is read as harness.generic_q.
+    """
+    out = set()
+    for fn in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        roots = {"bf": ()}
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Assign) and len(_chain(node.value)) == 2:
+                root, module = _chain(node.value)
+                if root == "bf":
+                    roots.update({t.id: (module,) for t in node.targets
+                                  if isinstance(t, ast.Name)})
+        for node in ast.walk(fn):
+            chain = _chain(node)
+            if len(chain) > 1 and chain[0] in roots:
+                out.add(roots[chain[0]] + tuple(chain[1:]))
+    return out
+
+
+def test_every_package_name_the_benchmark_reads_exists():
+    import bracketforge
+
+    chains = package_chains(PERFBENCH / "workloads.py") | package_chains(PERFBENCH / "run.py")
+    # the parse sees direct chains, chains through a module alias, and the runner
+    assert {("lifting", "QScheme", "symbolic"), ("harness", "collinear_realization"),
+            ("gc", "rewrite_choices"), ("gc", "DEFAULT_TERM_CEILING")} <= chains
+    for chain in sorted(chains):
+        owner = bracketforge
+        for i, attr in enumerate(chain):
+            assert hasattr(owner, attr), f"bf.{'.'.join(chain[:i + 1])} does not exist"
+            owner = getattr(owner, attr)
