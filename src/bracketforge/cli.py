@@ -1,10 +1,12 @@
 """Command-line interface.
 
-Every subcommand prints one JSON document to standard output (pretty-printed
-with --pretty) and exits 0 on success, 1 on a verification failure or
-violated hypothesis, 2 on usage errors.  Errors are one-line documents
-{"error": message}.  When standard output is closed before the document is
-written, nothing is printed and the exit code is 1.
+Each subcommand returns its JSON document and exit code; `_run` loads the
+--config a subcommand declares, calls it, and prints the one document of the
+run to standard output (pretty-printed with --pretty).  The exit code is 0 on
+success, 1 on a verification failure or violated hypothesis, 2 on usage
+errors.  Errors are one-line documents {"error": message}.  When standard
+output is closed before the document is written, nothing is printed and the
+exit code is 1.
 """
 
 from __future__ import annotations
@@ -44,8 +46,7 @@ def emit(doc, pretty: bool) -> None:
     print(json.dumps(doc, indent=2 if pretty else None, sort_keys=True), flush=True)
 
 
-def cmd_describe(args) -> int:
-    cfg = load_config(args.config)
+def cmd_describe(cfg: Config, args) -> tuple[dict, int]:
     doc = {
         "d": cfg.d,
         "lines": [list(l) for l in cfg.lines],
@@ -64,108 +65,86 @@ def cmd_describe(args) -> int:
                 },
             }
         )
-    emit(doc, args.pretty)
-    return 0
+    return doc, 0
 
 
-def cmd_cactus_check(args) -> int:
-    cfg = load_config(args.config)
+def cmd_cactus_check(cfg: Config, args) -> tuple[dict, int]:
     report = cactus_check(cfg)
     qm = sorted(q_points(cfg))
-    emit(
-        {
-            "is_cactus": report.is_cactus,
-            "vertices": list(report.vertices),
-            "edges": [list(e) for e in report.edges],
-            "blocks": [list(b) for b in report.blocks],
-            "offending_block": list(report.offending_block) if report.offending_block else None,
-            "q_points": qm,
-            "q_points_have_cycle": subset_has_cycle(cfg, qm),
-        },
-        args.pretty,
-    )
-    return 0
+    return {
+        "is_cactus": report.is_cactus,
+        "vertices": list(report.vertices),
+        "edges": [list(e) for e in report.edges],
+        "blocks": [list(b) for b in report.blocks],
+        "offending_block": list(report.offending_block) if report.offending_block else None,
+        "q_points": qm,
+        "q_points_have_cycle": subset_has_cycle(cfg, qm),
+    }, 0
 
 
-def cmd_ordering(args) -> int:
-    cfg = load_config(args.config)
+def cmd_ordering(cfg: Config, args) -> tuple[dict, int]:
     ordering = admissible_ordering(cfg)
     if ordering is None:
-        emit({"admissible": False, "reason": "configuration is not nilpotent"}, args.pretty)
-        return 0
-    emit(
-        {
-            "admissible": True,
-            "perm": list(ordering.perm),
-            "weights": list(ordering.weights),
-            "dim": ordering.dim,
-        },
-        args.pretty,
-    )
-    return 0
+        return {"admissible": False, "reason": "configuration is not nilpotent"}, 0
+    return {
+        "admissible": True,
+        "perm": list(ordering.perm),
+        "weights": list(ordering.weights),
+        "dim": ordering.dim,
+    }, 0
 
 
-def cmd_lift_matrix(args) -> int:
-    cfg = load_config(args.config)
+def cmd_lift_matrix(cfg: Config, args) -> tuple[dict, int]:
     m = lift_matrix(cfg, QScheme.symbolic())
-    emit(
-        {
-            "shape": list(m.shape),
-            "circuits": [list(c) for c in m.circuits],
-            "entries": m.bracket_text(),
-        },
-        args.pretty,
-    )
-    return 0
+    return {
+        "shape": list(m.shape),
+        "circuits": [list(c) for c in m.circuits],
+        "entries": m.bracket_text(),
+    }, 0
 
 
-def cmd_generators(args) -> int:
-    cfg = load_config(args.config)
+# the presets whose Grassmann-Cayley generators are the published lists
+PUBLISHED_GC = ("pascal", "pappus")
+
+
+def cmd_generators(cfg: Config, args) -> tuple[dict, int]:
+    name = args.config
     fams = ("circuit", "gc", "lifting") if args.family == "all" else (args.family,)
-    is_named = args.config in ("pascal", "pappus", "qs")
-    doc: dict = {"config": args.config, "families": {}}
+    families: dict = {}
     if "circuit" in fams:
         gens = ideals.circuit_generators(cfg)
-        entry: dict = {"count": len(gens)}
+        families["circuit"] = {"count": len(gens)}
         if not args.count_only:
-            entry["polynomials"] = [g.to_text() for g in gens]
-        doc["families"]["circuit"] = entry
+            families["circuit"]["polynomials"] = [g.to_text() for g in gens]
     if "gc" in fams:
-        if is_named and args.config != "qs":
-            gens = ideals.gc_generators_preset(args.config)
-        elif args.config == "qs":
+        if name == "qs":
             gens = []
+        elif name in PUBLISHED_GC:
+            gens = ideals.gc_generators_preset(name)
         else:
-            gs = ideals.cactus_generators(cfg, depth=args.depth)
-            gens = gs.gc
-        entry = {"count": len(gens)}
+            gens = ideals.cactus_generators(cfg, depth=args.depth).gc
+        families["gc"] = {"count": len(gens)}
         if not args.count_only:
-            limit = args.limit if args.limit is not None else len(gens)
-            entry["polynomials"] = [g.to_text() for g in gens[:limit]]
-        doc["families"]["gc"] = entry
+            families["gc"]["polynomials"] = [g.to_text() for g in gens[: args.limit]]
     if "lifting" in fams:
-        if is_named:
-            entry = {"count": minor_count(args.config)}
-            if not args.count_only:
-                limit = args.limit if args.limit is not None else 10
-                entry["descriptors"] = [
-                    {
-                        "matrix": d.matrix_tag,
-                        "deleted": d.deleted,
-                        "rows": list(d.rows),
-                        "cols": list(d.cols),
-                        "q": list(d.q_assignment) if d.q_assignment else "symbolic",
-                    }
-                    for d in lifting.iter_descriptors(args.config, limit)
-                ]
-            doc["families"]["lifting"] = entry
-        else:
-            doc["families"]["lifting"] = {"count": 0}
-    emit(doc, args.pretty)
-    return 0
+        has_lifting = name in lifting.PRESET_MINOR_RECIPES
+        families["lifting"] = {"count": minor_count(name) if has_lifting else 0}
+        if has_lifting and not args.count_only:
+            limit = args.limit if args.limit is not None else 10
+            families["lifting"]["descriptors"] = [
+                {
+                    "matrix": d.matrix_tag,
+                    "deleted": d.deleted,
+                    "rows": list(d.rows),
+                    "cols": list(d.cols),
+                    "q": list(d.q_assignment) if d.q_assignment else "symbolic",
+                }
+                for d in lifting.iter_descriptors(name, limit)
+            ]
+    return {"config": name, "families": families}, 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[dict, int]:
     samples = args.samples
     seed = args.seed
     limit = args.limit if args.limit is not None else 200
@@ -179,7 +158,7 @@ def cmd_verify(args) -> int:
         bad = sum(1 for g in gammas for c in circuit if c.eval(g) != 0)
         entry["circuit"] = {"generators": len(circuit), "nonvanishing": bad}
         failures += bad
-        if fixture.name in ("pascal", "pappus"):
+        if fixture.name in PUBLISHED_GC:
             gc_gens = ideals.gc_generators_preset(fixture.name)
             bad = sum(1 for g in gammas for c in gc_gens if c.eval(g) != 0)
             entry["gc"] = {"generators": len(gc_gens), "nonvanishing": bad}
@@ -201,53 +180,41 @@ def cmd_verify(args) -> int:
     if not replay.ok():
         failures += 1
     report["failures"] = failures
-    emit(report, args.pretty)
-    return 1 if failures else 0
+    return report, 1 if failures else 0
 
 
-def cmd_decompose(args) -> int:
-    if args.config in ("pascal", "pappus"):
-        rep = harness.decomposition_report(args.config)
-    else:
-        cfg = load_config(args.config)
-        rep = harness.decomposition_report("cactus", cfg)
-    emit(
-        {
-            "preset": rep.preset,
-            "count": rep.count,
-            "upper_bound_only": rep.upper_bound_only,
-            "components": [
-                {
-                    "kind": c.kind,
-                    "description": c.description,
-                    "d": c.cfg.d,
-                    "lines": [list(l) for l in c.cfg.lines],
-                    "loops": sorted(c.cfg.loops),
-                }
-                for c in rep.components
-            ],
-        },
-        args.pretty,
-    )
-    return 0
+def cmd_decompose(cfg: Config, args) -> tuple[dict, int]:
+    name = args.config if args.config in ("pascal", "pappus") else "cactus"
+    rep = harness.decomposition_report(name, cfg)
+    return {
+        "preset": rep.preset,
+        "count": rep.count,
+        "upper_bound_only": rep.upper_bound_only,
+        "components": [
+            {
+                "kind": c.kind,
+                "description": c.description,
+                "d": c.cfg.d,
+                "lines": [list(l) for l in c.cfg.lines],
+                "loops": sorted(c.cfg.loops),
+            }
+            for c in rep.components
+        ],
+    }, 0
 
 
-def cmd_replay(args) -> int:
+def cmd_replay(args) -> tuple[dict, int]:
     rep = harness.replay_cactus_counterexample(check_gm_depth=args.depth)
-    emit(
-        {
-            "l1": [str(c) for c in rep.l1],
-            "l3": [str(c) for c in rep.l3],
-            "l2": [str(c) for c in rep.l2],
-            "det_with_integer_representatives": str(rep.det_exact_representatives),
-            "det_raw": str(rep.det_raw),
-            "in_circuit_variety": rep.in_circuit_variety,
-            "rewrite_generators": rep.gm_vanishing,
-            "ok": rep.ok(),
-        },
-        args.pretty,
-    )
-    return 0 if rep.ok() else 1
+    return {
+        "l1": [str(c) for c in rep.l1],
+        "l3": [str(c) for c in rep.l3],
+        "l2": [str(c) for c in rep.l2],
+        "det_with_integer_representatives": str(rep.det_exact_representatives),
+        "det_raw": str(rep.det_raw),
+        "in_circuit_variety": rep.in_circuit_variety,
+        "rewrite_generators": rep.gm_vanishing,
+        "ok": rep.ok(),
+    }, 0 if rep.ok() else 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -321,16 +288,21 @@ def main(argv=None) -> int:
 
 
 def _run(argv) -> int:
+    """Parse argv, load --config once, run the subcommand and print the one
+    document it returns, or the error that stopped it."""
+    pretty = False  # an error document is always one line
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        inputs = (load_config(args.config),) if "config" in vars(args) else ()
+        doc, code = args.func(*inputs, args)
+        pretty = args.pretty
     except SystemExit:  # only --help exits the parser; it has printed its text
         return 0
     except (ConfigError, ideals.HypothesisError, lifting.LiftingError, harness.FixtureError) as exc:
-        error, code = exc, 1
+        doc, code = {"error": str(exc)}, 1
     except (OSError, ValueError) as exc:
-        error, code = exc, 2
-    emit({"error": str(error)}, pretty=False)
+        doc, code = {"error": str(exc)}, 2
+    emit(doc, pretty)
     return code
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from math import gcd
 from typing import Callable, Optional, TypeVar
@@ -625,18 +626,12 @@ def random_cactus(seed: int, blocks: int = 3) -> Config:
 
 
 def fixtures() -> list[Fixture]:
-    out = [
+    # one Config per cactus fixture, shared with its sampler (and its bases() cache)
+    cactus14 = preset("cactus14")
+    triangle = Config(6, [(1, 2, 4), (2, 3, 5), (1, 3, 6)])
+    return [
         Fixture("pappus", preset("pappus"), pappus_realization),
         Fixture("pascal", preset("pascal"), pascal_family_sample),
-        Fixture(
-            "cactus14",
-            preset("cactus14"),
-            lambda s: cactus_realization(preset("cactus14"), s),
-        ),
-        Fixture(
-            "triangle-cycle",
-            Config(6, [(1, 2, 4), (2, 3, 5), (1, 3, 6)]),
-            lambda s: cactus_realization(Config(6, [(1, 2, 4), (2, 3, 5), (1, 3, 6)]), s),
-        ),
+        Fixture("cactus14", cactus14, partial(cactus_realization, cactus14)),
+        Fixture("triangle-cycle", triangle, partial(cactus_realization, triangle)),
     ]
-    return out

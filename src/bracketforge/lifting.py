@@ -9,9 +9,11 @@ order.
 
 `lift_matrix` builds the matrix of polynomials, with one symbolic q or one
 fixed q vector per column (`QScheme`); a fixed q shared by all columns is the
-symbolic matrix evaluated at q.  Verdicts (descriptor minors, lifting
-dimensions, liftings) build its value at gamma directly from cross products,
-[u v q] = dot(cross(gamma_u, gamma_v), q), in the same layout.
+symbolic matrix evaluated at q.  Its entries are expanded on first use, so
+its circuits and printed shorthand cost no expansion.  Verdicts (descriptor
+minors, lifting dimensions, liftings) build its value at gamma directly from
+cross products, [u v q] = dot(cross(gamma_u, gamma_v), q), in the same
+layout.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
@@ -72,7 +75,19 @@ class LiftMatrix:
     cfg: Config
     scheme: QScheme
     circuits: tuple[tuple[int, ...], ...]
-    entries: tuple[tuple[BracketPoly, ...], ...]
+
+    @cached_property
+    def entries(self) -> tuple[tuple[BracketPoly, ...], ...]:
+        """The bracket polynomials, expanded on first use."""
+        q_cols = self.scheme.per_column
+        rows = []
+        for entries in _circuit_rows(self.cfg):
+            row = [BracketPoly.zero()] * self.cfg.d
+            for col, (u, v), sign in entries:
+                p = bracket(u, v, Q_COL if q_cols is None else const_col(q_cols[col - 1]))
+                row[col - 1] = p if sign > 0 else -p
+            rows.append(tuple(row))
+        return tuple(rows)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -121,16 +136,8 @@ def lift_matrix(cfg: Config, scheme: QScheme) -> LiftMatrix:
     q_cols = scheme.per_column
     if q_cols is not None and len(q_cols) != cfg.d:
         raise LiftingError("per-column scheme length must equal d")
-    layout = _circuit_rows(cfg)
-    rows = []
-    for entries in layout:
-        row = [BracketPoly.zero()] * cfg.d
-        for col, (u, v), sign in entries:
-            p = bracket(u, v, Q_COL if q_cols is None else const_col(q_cols[col - 1]))
-            row[col - 1] = p if sign > 0 else -p
-        rows.append(tuple(row))
-    circuits = tuple(tuple(col for col, _, _ in entries) for entries in layout)
-    return LiftMatrix(cfg, scheme, circuits, tuple(rows))
+    circuits = tuple(tuple(col for col, _, _ in entries) for entries in _circuit_rows(cfg))
+    return LiftMatrix(cfg, scheme, circuits)
 
 
 def _numeric_rows(

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import bracketforge
+from bracketforge import ideals, poly
 from bracketforge.cli import main
 
 
@@ -65,6 +66,24 @@ def test_lift_matrix_text():
     assert code == 0
     assert doc["shape"] == [4, 6]
     assert doc["entries"][0][0] == "[23 q]"
+
+
+def test_lift_matrix_expands_no_polynomial(monkeypatch):
+    """The document needs the layout only, not the bracket polynomials."""
+    def expand(matrix):
+        raise AssertionError("lift-matrix expanded a bracket polynomial")
+
+    monkeypatch.setattr(poly, "_det", expand)
+    code, doc = run(["lift-matrix", "--config", "line:30"])
+    assert code == 0 and doc["shape"] == [4060, 30]
+
+
+def test_published_form_mismatch_exits_1(monkeypatch, capsys):
+    monkeypatch.setitem(ideals.PASCAL_GC_EXPECTED_TEXT, 4, "[749][361]+[461][739]")
+    assert main(["generators", "--config", "pascal", "--family", "gc"]) == 1
+    out, err = capsys.readouterr()
+    [line] = out.splitlines()
+    assert "published form" in json.loads(line)["error"] and err == ""
 
 
 def test_replay_counterexample():

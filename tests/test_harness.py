@@ -4,10 +4,12 @@ from itertools import combinations
 
 import pytest
 
-from bracketforge.config import cactus_check, is_nilpotent, preset
+from bracketforge.config import Config, cactus_check, is_nilpotent, preset
 from bracketforge.gc import gm_generators
 from bracketforge.harness import (
+    RETRY_CAP,
     FixtureError,
+    _retrying,
     cactus_realization,
     collinear_realization,
     components_distinct,
@@ -36,9 +38,32 @@ def test_fixture_samples_are_genuine_realizations():
             assert ok, (fx.name, witness)
 
 
+# sha256 of fixture.samples(3, seed=5), one to_json() line per sample
+FIXTURE_SAMPLES_SHA256 = {
+    "pappus": "8c3ae2ef9e83a406cb9b0e046e2132e1aa3410cfc8c534ac4888b4a38a9efdb7",
+    "pascal": "588c9eadf349ffd40b58543ed2d4eff12449bacb7a8f8ac0a93c0d618418a67b",
+    "cactus14": "cdbbd70faf6ccc69885422cb8927673631e72a662a4c3ea4986aed33549791ec",
+    "triangle-cycle": "ede6f9765347d12a195156d37f365f85c9e48af127e69d7f449f7bdd1ebd3c2a",
+}
+
+
 def test_fixture_samples_deterministic():
-    fx = fixtures()[0]
-    assert fx.samples(3, seed=5) == fx.samples(3, seed=5)
+    fxs = fixtures()
+    assert [fx.name for fx in fxs] == list(FIXTURE_SAMPLES_SHA256)
+    for fx in fxs:
+        samples = fx.samples(3, seed=5)
+        assert samples == fx.samples(3, seed=5)
+        assert _sha256(g.to_json() for g in samples) == FIXTURE_SAMPLES_SHA256[fx.name]
+
+
+def test_sampler_gives_up_at_the_retry_cap():
+    """A sampler that can never succeed raises once RETRY_CAP draws are used."""
+    with pytest.raises(FixtureError, match="retry cap"):
+        collinear_realization(Config(1, []))  # one point never has rank 2
+    draws = []
+    with pytest.raises(FixtureError, match="retry cap"):
+        _retrying(draws.append, seed=0)
+    assert len(draws) == RETRY_CAP
 
 
 def test_in_circuit_variety_vs_realization_space():

@@ -83,3 +83,11 @@ def test_cactus_generators_on_acyclic_cactus():
         g = cactus_realization(cfg, seed)
         for c in list(gs.circuit) + list(gs.gc):
             assert c.eval(g) == 0
+
+
+def test_published_form_mismatch_is_a_hypothesis_error(monkeypatch):
+    """A derived generator that differs from its published text is reported,
+    not returned."""
+    monkeypatch.setitem(PASCAL_GC_EXPECTED_TEXT, 4, "[749][361]+[461][739]")
+    with pytest.raises(HypothesisError, match="published form"):
+        gc_generators_preset("pascal")

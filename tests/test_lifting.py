@@ -25,7 +25,8 @@ from bracketforge.lifting import (
     sample_descriptors,
     trivial_lifting_dim,
 )
-from bracketforge.linalg import E1, E2, E3, Realization, kernel_basis, rank, vec3
+from bracketforge import poly
+from bracketforge.linalg import E1, E2, E3, Realization, cross, kernel_basis, rank, vadd, vec3
 from bracketforge.poly import Q_COL, bracket
 
 
@@ -106,12 +107,33 @@ def test_sample_descriptors_deterministic():
     assert any(d.deleted is not None for d in sample_descriptors("pappus", 100, seed=0))
 
 
+def test_entries_are_expanded_on_first_use(monkeypatch):
+    """Shape, circuits and the printed shorthand need no bracket polynomial;
+    the entries are expanded once, when first read."""
+    calls = []
+    expand = poly._det
+    monkeypatch.setattr(poly, "_det", lambda matrix: calls.append(matrix) or expand(matrix))
+    m = lift_matrix(preset("pappus"), QScheme.symbolic())
+    assert m.shape == (9, 9) and len(m.circuits) == 9 and len(m.bracket_text()) == 9
+    assert calls == []
+    assert m.entries is m.entries
+    assert len(calls) == 3 * len(m.circuits)
+
+
 def test_q_general_position():
     cfg = preset("line:4")
     g = collinear_realization(cfg, seed=0)
     assert q_general_position(cfg, g, generic_q(g, 0, cfg))
     # q equal to one of the points is not in general position
     assert not q_general_position(cfg, g, g.col(1))
+    # nor is q = 0, or a q on the realized line that is on none of its points
+    assert not q_general_position(cfg, g, vec3(0, 0, 0))
+    on_line = vadd(g.col(1), g.col(2))
+    assert all(any(cross(g.col(p), on_line)) for p in cfg.points)
+    assert not q_general_position(cfg, g, on_line)
+    for verdict in (lift_dim, construct_lifting, trivial_lifting_dim):
+        with pytest.raises(LiftingError, match="general position"):
+            verdict(cfg, g, on_line)
 
 
 def test_lift_dim_matches_dimension_formula_on_a_line():
