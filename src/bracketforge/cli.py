@@ -58,7 +58,7 @@ def cmd_describe(cfg: Config, args) -> tuple[dict, int]:
         doc.update(
             {
                 "degrees": {str(p): cfg.degree(p) for p in cfg.points},
-                "circuits": [sorted(c) for c in sorted(cfg.circuits3(), key=sorted)],
+                "circuits": [list(c) for c in cfg.circuits3()],
                 "chains": {
                     "S": {"stages": [list(st) for st in s.stages], "verdict": s.verdict},
                     "Q": {"stages": [list(st) for st in q.stages], "verdict": q.verdict},

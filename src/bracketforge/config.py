@@ -8,9 +8,10 @@ parallel classes. All operations are pure; Config instances are immutable.
 from __future__ import annotations
 
 import json
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cached_property
+from itertools import combinations, product
 from typing import Iterable, Iterator, Optional
 
 
@@ -34,7 +35,7 @@ class Config:
     def __post_init__(self):
         object.__setattr__(self, "lines", _canon_lines(self.lines))
         object.__setattr__(self, "loops", frozenset(self.loops))
-        par = tuple(sorted(tuple(sorted(set(c))) for c in self.parallel if len(c) > 1))
+        par = tuple(sorted(tuple(sorted(set(c))) for c in self.parallel if len(set(c)) > 1))
         object.__setattr__(self, "parallel", par)
         self._validate()
 
@@ -100,14 +101,27 @@ class Config:
 
     # -- dependencies ------------------------------------------------------
 
-    def circuits3(self) -> frozenset[frozenset[int]]:
-        """All size-3 circuits: the 3-subsets of lines."""
-        self._require_simple()
-        out: set[frozenset[int]] = set()
-        for l in self.lines:
-            for t in combinations(l, 3):
-                out.add(frozenset(t))
-        return frozenset(out)
+    def circuits3(self) -> tuple[tuple[int, int, int], ...]:
+        """All 3-circuits as sorted triples, in lexicographic order.
+
+        A 3-circuit is three points of distinct parallel classes whose
+        representatives lie on one line; in a simple configuration, a 3-subset
+        of a line.  Every other dependent triple holds a loop or two points
+        of one class.
+        """
+        return self._circuits3
+
+    @cached_property
+    def _circuits3(self) -> tuple[tuple[int, int, int], ...]:
+        members: dict[int, list[int]] = defaultdict(list)
+        for p in self.nonloop_points:
+            members[self._rep[p]].append(p)
+        return tuple(sorted(
+            tuple(sorted(t))
+            for line in self._collapsed
+            for reps in combinations(sorted(line), 3)
+            for t in product(*(members[r] for r in reps))
+        ))
 
     def is_dependent_triple(self, t: Iterable[int]) -> bool:
         t = set(t)
@@ -119,15 +133,16 @@ class Config:
     def bases(self) -> tuple[tuple[int, int, int], ...]:
         """All independent 3-subsets of the ground set, in lexicographic order.
 
-        Computed on the first call and kept: membership checks ask for them on
-        every realization, while eval_descriptor builds a new Config per call
-        and never asks.
+        Computed on the first call and kept, like circuits3(): membership
+        checks ask for them on every realization, while eval_descriptor builds
+        a new Config per call and never asks.
         """
-        if "_bases" not in self.__dict__:
-            triples = combinations(range(1, self.d + 1), 3)
-            bases = tuple(t for t in triples if not self.is_dependent_triple(t))
-            object.__setattr__(self, "_bases", bases)
         return self._bases
+
+    @cached_property
+    def _bases(self) -> tuple[tuple[int, int, int], ...]:
+        triples = combinations(self.points, 3)
+        return tuple(t for t in triples if not self.is_dependent_triple(t))
 
     def dependency_signature(self) -> frozenset[frozenset[int]]:
         """All dependent subsets of size <= 3 (determines all dependencies)."""
@@ -147,24 +162,22 @@ class Config:
 
     # -- constructions -----------------------------------------------------
 
+    def _cut(self, label: dict[int, int], d: int, loops: Iterable[int]) -> "Config":
+        """The configuration on 1..d with the given loops whose lines and
+        parallel classes are this one's, cut down to the points `label` maps
+        and relabeled through it."""
+        lines = (tuple(label[p] for p in l if p in label) for l in self.lines)
+        # a class left with one point is dropped by __post_init__
+        par = [tuple(label[p] for p in cls if p in label) for cls in self.parallel]
+        return Config(d, [l for l in lines if len(l) >= 3], loops, par)
+
     def restrict(self, subset: Iterable[int]) -> "Config":
         """Restriction to `subset`, relabeled to 1..|subset| in label order."""
         keep = sorted(set(subset))
         if not set(keep) <= set(self.points):
             raise ConfigError("restriction set outside ground set")
         relabel = {p: i + 1 for i, p in enumerate(keep)}
-        lines = [
-            tuple(relabel[p] for p in l if p in relabel)
-            for l in self.lines
-            if len(set(l) & set(keep)) >= 3
-        ]
-        loops = {relabel[p] for p in self.loops if p in relabel}
-        par = [
-            tuple(relabel[p] for p in cls if p in relabel)
-            for cls in self.parallel
-            if len(set(cls) & set(keep)) >= 2
-        ]
-        return Config(len(keep), lines, loops, par)
+        return self._cut(relabel, len(keep), (relabel[p] for p in self.loops if p in relabel))
 
     def delete(self, subset: Iterable[int]) -> "Config":
         return self.restrict(set(self.points) - set(subset))
@@ -174,17 +187,7 @@ class Config:
         j = set(subset)
         if not j <= set(self.points):
             raise ConfigError("loop set outside ground set")
-        lines = [
-            tuple(p for p in l if p not in j)
-            for l in self.lines
-            if len(set(l) - j) >= 3
-        ]
-        par = [
-            tuple(p for p in cls if p not in j)
-            for cls in self.parallel
-            if len(set(cls) - j) >= 2
-        ]
-        return Config(self.d, lines, self.loops | j, par)
+        return self._cut({p: p for p in self.points if p not in j}, self.d, self.loops | j)
 
     def simplification_labels(self) -> list[int]:
         """Non-loop parallel-class representatives, in label order."""
@@ -210,6 +213,9 @@ class Config:
             raise ConfigError(f"configuration is not valid JSON: {exc}") from None
         if not isinstance(data, dict):
             raise ConfigError("configuration must be a JSON object")
+        for key in data:
+            if key not in ("d", "lines", "loops", "parallel"):
+                raise ConfigError(f"unknown configuration key {key!r}")
         d = data.get("d")
         if type(d) is not int or d < 1:
             raise ConfigError(f'"d" must be a positive integer, got {d!r}')
@@ -272,26 +278,26 @@ class ChainReport:
         return self.verdict != "neither"
 
 
-def _high_degree_points(cfg: Config, min_degree: int) -> list[int]:
-    return [p for p in cfg.nonloop_points if cfg.degree(p) >= min_degree]
+def _degree_in_restriction(cfg: Config, present: set[int], p: int) -> int:
+    """The degree of p in the restriction of cfg to `present`."""
+    return sum(1 for l in cfg.lines if p in l and len(present.intersection(l)) >= 3)
 
 
 def _chain(cfg: Config, min_degree: int, kind: str) -> ChainReport:
     ok_verdict = "nilpotent" if kind == "S" else "solvable"
     stages: list[tuple[int, ...]] = []
-    current = cfg
-    labels = list(cfg.points)  # original labels of current's points
+    present = set(cfg.points)
     while True:
-        keep_local = _high_degree_points(current, min_degree)
-        stage = tuple(labels[i - 1] for i in keep_local)
+        stage = tuple(
+            p for p in sorted(present) if _degree_in_restriction(cfg, present, p) >= min_degree
+        )
         if not stage:
             stages.append(stage)
             return ChainReport(kind, tuple(stages), ok_verdict)
         if stages and stage == stages[-1]:
             return ChainReport(kind, tuple(stages), "neither")
         stages.append(stage)
-        current = current.restrict(keep_local)
-        labels = [labels[i - 1] for i in keep_local]
+        present = set(stage)
 
 
 def chains(cfg: Config) -> tuple[ChainReport, ChainReport]:
@@ -306,7 +312,7 @@ def is_nilpotent(cfg: Config) -> bool:
 
 def q_points(cfg: Config) -> frozenset[int]:
     """Points of degree >= 3."""
-    return frozenset(_high_degree_points(cfg, 3))
+    return frozenset(p for p in cfg.nonloop_points if cfg.degree(p) >= 3)
 
 
 # ---------------------------------------------------------------------------
@@ -321,10 +327,6 @@ class Ordering:
     @property
     def dim(self) -> int:
         return len(self.perm) - sum(self.weights)
-
-
-def _degree_in_restriction(cfg: Config, present: set[int], p: int) -> int:
-    return sum(1 for l in cfg.lines if p in l and len(set(l) & present) >= 3)
 
 
 def admissible_ordering(cfg: Config) -> Optional[Ordering]:
@@ -441,51 +443,38 @@ def cactus_check(cfg: Config) -> CactusReport:
     )
 
 
+def _point_line_graph(cfg: Config, subset: Iterable[int]) -> dict[tuple[str, int], list]:
+    """The bipartite incidence graph between the points of `subset` and the
+    lines meeting at least two of them, as adjacency lists."""
+    pts = set(subset)
+    adj: dict = {("p", p): [] for p in sorted(pts)}
+    for li, l in enumerate(cfg.lines):
+        members = [p for p in l if p in pts]
+        if len(members) >= 2:
+            adj[("l", li)] = [("p", p) for p in members]
+            for p in members:
+                adj[("p", p)].append(("l", li))
+    return adj
+
+
 def subset_has_cycle(cfg: Config, subset: Iterable[int]) -> bool:
     """True iff distinct points x_1..x_k of `subset` and distinct lines
     l_1..l_k exist with {x_i, x_{i+1}} inside l_i, cyclically.
 
-    Equivalently: the bipartite incidence graph between the subset's points
-    and the lines meeting >= 2 of them contains a cycle (union-find check).
+    Equivalently: the point-line incidence graph of the subset has a cycle,
+    that is, a biconnected block with more than one edge.
     """
-    pts = sorted(set(subset))
-    if not set(pts) <= set(cfg.nonloop_points):
+    subset = set(subset)
+    if not subset <= set(cfg.nonloop_points):
         raise ConfigError("subset must consist of non-loop points")
-    nodes: dict = {("p", p): ("p", p) for p in pts}
-    parent = {k: k for k in nodes}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for li, l in enumerate(cfg.lines):
-        members = [p for p in pts if p in l]
-        if len(members) < 2:
-            continue
-        key = ("l", li)
-        parent[key] = key
-        for p in members:
-            a, b = find(key), find(("p", p))
-            if a == b:
-                return True
-            parent[a] = b
-    return False
+    return any(len(block) > 1 for block in _blocks(_point_line_graph(cfg, subset)))
 
 
 def subset_has_cycle_dfs(cfg: Config, subset: Iterable[int]) -> bool:
     """Independent cross-check of subset_has_cycle: a depth-first search of
     the same point-line incidence graph, which has a cycle iff the search
     meets an edge to a visited vertex other than the one it came from."""
-    pts = sorted(set(subset))
-    adj: dict = {("p", p): [] for p in pts}
-    for li, l in enumerate(cfg.lines):
-        members = [p for p in pts if p in l]
-        if len(members) >= 2:
-            adj[("l", li)] = [("p", p) for p in members]
-            for p in members:
-                adj[("p", p)].append(("l", li))
+    adj = _point_line_graph(cfg, subset)
     seen: set = set()
     for root in adj:
         if root in seen:

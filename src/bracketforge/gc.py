@@ -139,7 +139,10 @@ def parse_bracket_text(text: str) -> BracketCombo:
         pos = tok.end()
         body, number, op = tok.groups()
         if op is None:
-            factor = _parse_bracket(body, text) if number is None else BracketCombo.const(Fraction(number))
+            try:
+                factor = _parse_bracket(body, text) if number is None else BracketCombo.const(Fraction(number))
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {number!r} in {text!r}") from None
             term = factor if term is None else term * factor
             prev = "factor"
         elif op == "*" and prev == "factor":
@@ -369,7 +372,8 @@ DEFAULT_TERM_CEILING = 64
 
 
 def circuit_combos(cfg: Config) -> list[BracketCombo]:
-    return [BracketCombo.of_bracket(*sorted(c)) for c in sorted(cfg.circuits3(), key=sorted)]
+    cfg._require_simple()
+    return [BracketCombo.of_bracket(*c) for c in cfg.circuits3()]
 
 
 def gm_generators(cfg: Config, depth: int) -> list[BracketCombo]:
@@ -381,7 +385,6 @@ def gm_generators(cfg: Config, depth: int) -> list[BracketCombo]:
     sign; combinations exceeding DEFAULT_TERM_CEILING terms are dropped.  Returns
     the union of all stages up to depth.
     """
-    cfg._require_simple()
     stage = circuit_combos(cfg)
     seen = {c.sign_normalized() for c in stage}
     collected = list(stage)

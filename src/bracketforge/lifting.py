@@ -123,11 +123,11 @@ class LiftMatrix:
 
 
 def _circuit_rows(cfg: Config) -> list[tuple[tuple[int, tuple[int, int], int], ...]]:
-    """The liftability layout: one row per 3-circuit c1 < c2 < c3, in sorted
+    """The liftability layout: one row per 3-circuit c1 < c2 < c3, in
     circuit order, as (column, bracket pair, sign) for columns c1, c2, c3."""
     return [
         ((c1, (c2, c3), 1), (c2, (c1, c3), -1), (c3, (c1, c2), 1))
-        for c1, c2, c3 in sorted(tuple(sorted(c)) for c in cfg.circuits3())
+        for c1, c2, c3 in cfg.circuits3()
     ]
 
 
@@ -136,8 +136,7 @@ def lift_matrix(cfg: Config, scheme: QScheme) -> LiftMatrix:
     q_cols = scheme.per_column
     if q_cols is not None and len(q_cols) != cfg.d:
         raise LiftingError("per-column scheme length must equal d")
-    circuits = tuple(tuple(col for col, _, _ in entries) for entries in _circuit_rows(cfg))
-    return LiftMatrix(cfg, scheme, circuits)
+    return LiftMatrix(cfg, scheme, cfg.circuits3())
 
 
 def _numeric_rows(

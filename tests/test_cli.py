@@ -35,6 +35,13 @@ def test_describe_from_file(tmp_path):
     assert code == 0 and doc["loops"] == [4]
 
 
+def test_circuit_family_of_a_non_simple_file_is_error(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"d": 4, "lines": [[1, 2, 3]], "loops": [4], "parallel": []}')
+    code, doc = run(["generators", "--config", str(path), "--family", "circuit"])
+    assert code == 1 and doc == {"error": "requires simple configuration"}
+
+
 def test_unknown_config_is_error():
     code, doc = run(["describe", "--config", "no-such-thing"])
     assert code == 1 and "error" in doc
@@ -142,6 +149,7 @@ BAD_JSON_CONFIGS = {
     "nested-loop": '{"d": 3, "loops": [[1]]}',
     "d-zero": '{"d": 0}',
     "malformed": '{"d": 3,',
+    "unknown-key": '{"d": 3, "lnes": [[1, 2, 3]]}',
 }
 
 

@@ -24,9 +24,7 @@ from bracketforge.config import (
 
 def test_qs_circuits():
     cfg = preset("qs")
-    assert cfg.circuits3() == frozenset(
-        frozenset(c) for c in ((1, 2, 3), (1, 5, 6), (2, 4, 6), (3, 4, 5))
-    )
+    assert cfg.circuits3() == ((1, 2, 3), (1, 5, 6), (2, 4, 6), (3, 4, 5))
     assert all(cfg.degree(p) == 2 for p in cfg.points)
 
 
@@ -193,6 +191,12 @@ def test_json_roundtrip():
     for name in ("pascal", "cactus14", "qs"):
         cfg = preset(name)
         assert Config.from_json(cfg.to_json()) == cfg
+
+
+def test_one_point_parallel_class_is_dropped():
+    cfg = Config(3, [(1, 2, 3)], parallel=[(1, 1)])
+    assert cfg.parallel == () and cfg.is_simple()
+    assert Config.from_json(cfg.to_json()) == cfg
 
 
 def test_simplification_labels():

@@ -94,7 +94,8 @@ def test_parse_multi_digit_and_compact_forms():
     assert combo == BracketCombo.of_bracket(1, 2, 10) * BracketCombo.of_bracket(3, 11, 12)
     assert parse_bracket_text(combo.to_text()) == combo
     assert parse_bracket_text("[153]") == parse_bracket_text("[1 5 3]")
-    for bad in ("[12]", "[1 2]", "[1 2 3] -", "*[123]", "[123]x", "[1 2 3]*-[4 5 6]"):
+    for bad in ("[12]", "[1 2]", "[1 2 3] -", "*[123]", "[123]x", "[1 2 3]*-[4 5 6]",
+                "1/0*[1 2 3]"):
         with pytest.raises(ValueError):
             parse_bracket_text(bad)
 
