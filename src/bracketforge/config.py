@@ -64,13 +64,27 @@ class Config:
         collapsed = tuple(frozenset(rep[p] for p in l) for l in self.lines)
         object.__setattr__(self, "_rep", rep)
         object.__setattr__(self, "_collapsed", collapsed)
-        for (i, a), (j, b) in combinations(enumerate(collapsed), 2):
-            if len(a & b) > 1:
-                raise ConfigError(
-                    f"lines {self.lines[i]} and {self.lines[j]} share more than one point"
-                )
-        for a, b in combinations(self.lines, 2):
-            if set(a) <= set(b) or set(b) <= set(a):
+        # two lines share two collapsed points iff they share a pair of points
+        # that each lie on two lines; the first offending (i, j) is the least
+        # (first line through a pair, second line through it)
+        degree = Counter(p for line in collapsed for p in line)
+        first: dict[tuple[int, int], int] = {}
+        shared = None
+        for j, line in enumerate(collapsed):
+            for pair in combinations(sorted(p for p in line if degree[p] > 1), 2):
+                i = first.setdefault(pair, j)
+                if i != j and (shared is None or (i, j) < shared):
+                    shared = (i, j)
+        if shared is not None:
+            i, j = shared
+            raise ConfigError(
+                f"lines {self.lines[i]} and {self.lines[j]} share more than one point"
+            )
+        # now a line lies in another only if its points collapse to one
+        for i, line in enumerate(self.lines):
+            if len(collapsed[i]) == 1 and any(
+                j != i and set(line) <= set(b) for j, b in enumerate(self.lines)
+            ):
                 raise ConfigError("no line may contain another")
 
     def _parallel_rep_map(self) -> dict[int, int]:

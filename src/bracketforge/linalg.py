@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 Vec3 = tuple[Fraction, Fraction, Fraction]
 
@@ -176,16 +176,29 @@ def kernel_basis(m: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     """Exact basis of the right kernel {v : m v = 0}."""
     if not m:
         return []
-    cols = len(m[0])
     a, _ = _integer_rows(m)
+    return _integer_kernel(a)
+
+
+def _integer_kernel(
+    a: list[list[int]], scale: Optional[Sequence[int]] = None
+) -> list[list[Fraction]]:
+    """Kernel basis of the integer rows a (eliminated in place), one vector
+    per free column f, with 1 at f and 0 at the other free columns.
+
+    With positive column multipliers `scale` it is the kernel of the matrix
+    whose column c is a's column c times scale[c]: a kernel vector w of a
+    becomes w_c / scale[c], rescaled to 1 at f.
+    """
+    cols = len(a[0])
+    s = scale or [1] * cols
     pivots = _eliminate(a, reduce=True)
-    free = [c for c in range(cols) if c not in pivots]
     basis = []
-    for fc in free:
+    for fc in (c for c in range(cols) if c not in pivots):
         v = [Fraction(0)] * cols
         v[fc] = Fraction(1)
         for row, pc in zip(a, pivots):
-            v[pc] = Fraction(-row[fc], row[pc])
+            v[pc] = Fraction(-row[fc] * s[fc], row[pc] * s[pc])
         basis.append(v)
     return basis
 

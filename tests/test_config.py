@@ -1,6 +1,7 @@
 import random
 import subprocess
 import sys
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -50,6 +51,72 @@ def test_parallel_collapse_detects_shared_points():
     # 4 and 5 are parallel, so the two lines share two collapsed points
     with pytest.raises(ConfigError):
         Config(6, lines=[(1, 2, 4), (1, 3, 5)], parallel=[(4, 5), (2, 3)])
+
+
+def pairwise_line_error(d, lines, parallel):
+    """The line rule by brute force over all pairs of lines: the first pair
+    (i, j) sharing two collapsed points, else any line inside another."""
+    lines = sorted(tuple(sorted(set(l))) for l in lines)
+    rep = {p: p for p in range(1, d + 1)}
+    for cls in parallel:
+        for p in cls:
+            rep[p] = min(cls)
+    collapsed = [{rep[p] for p in l} for l in lines]
+    for i, j in combinations(range(len(lines)), 2):
+        if len(collapsed[i] & collapsed[j]) > 1:
+            return f"lines {lines[i]} and {lines[j]} share more than one point"
+    for a, b in combinations(lines, 2):
+        if set(a) <= set(b) or set(b) <= set(a):
+            return "no line may contain another"
+    return None
+
+
+def random_line_set(rng: random.Random):
+    """Lines on up to 9 points, with parallel classes: some lines overlap in
+    two points, some are copies or subsets of others, and some lie inside
+    one parallel class."""
+    d = rng.randint(4, 9)
+    points = list(range(1, d + 1))
+    rng.shuffle(points)
+    parallel = []
+    while rng.random() < 0.5 and len(points) >= 2:
+        size = rng.randint(2, min(4, len(points)))
+        parallel.append(tuple(points.pop() for _ in range(size)))
+    lines = []
+    for _ in range(rng.randint(1, 6)):
+        kind = rng.random()
+        if lines and kind < 0.2:
+            lines.append(rng.choice(lines))  # the same line twice
+        elif lines and kind < 0.4:
+            base = rng.choice(lines)
+            extra = [p for p in range(1, d + 1) if p not in base]
+            if rng.random() < 0.5 and len(base) > 3:
+                lines.append(tuple(rng.sample(base, len(base) - 1)))  # nested inside
+            elif extra:
+                lines.append(tuple(base) + (rng.choice(extra),))  # nested around
+        elif parallel and kind < 0.5 and len(max(parallel, key=len)) >= 3:
+            lines.append(tuple(rng.sample(max(parallel, key=len), 3)))  # one collapsed point
+        else:
+            lines.append(tuple(rng.sample(range(1, d + 1), rng.randint(3, min(5, d)))))
+    return d, lines, parallel
+
+
+def test_line_rule_matches_pairwise_brute_force():
+    rng = random.Random(20)
+    outcomes = Counter()
+    for _ in range(3000):
+        d, lines, parallel = random_line_set(rng)
+        want = pairwise_line_error(d, lines, parallel)
+        try:
+            Config(d, lines=lines, parallel=parallel)
+            got = None
+        except ConfigError as exc:
+            got = str(exc)
+        assert got == want, (d, lines, parallel)
+        outcomes[want if want is None or want.startswith("no") else "share"] += 1
+    # every outcome is exercised, the containment rule too
+    assert set(outcomes) == {None, "share", "no line may contain another"}, outcomes
+    assert min(outcomes.values()) >= 30, outcomes
 
 
 def test_restrict_delete_relabel():
