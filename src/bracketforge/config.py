@@ -7,6 +7,7 @@ parallel classes. All operations are pure; Config instances are immutable.
 
 from __future__ import annotations
 
+import heapq
 import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -292,9 +293,16 @@ class ChainReport:
         return self.verdict != "neither"
 
 
-def _degree_in_restriction(cfg: Config, present: set[int], p: int) -> int:
-    """The degree of p in the restriction of cfg to `present`."""
-    return sum(1 for l in cfg.lines if p in l and len(present.intersection(l)) >= 3)
+def _restriction_degrees(cfg: Config, present: set[int]) -> Counter[int]:
+    """The degree of every point in the restriction of cfg to `present`, from
+    one pass over the lines: a line counts for its present points when at
+    least three of its points are present."""
+    degrees: Counter[int] = Counter()
+    for l in cfg.lines:
+        kept = present.intersection(l)
+        if len(kept) >= 3:
+            degrees.update(kept)
+    return degrees
 
 
 def _chain(cfg: Config, min_degree: int, kind: str) -> ChainReport:
@@ -302,9 +310,8 @@ def _chain(cfg: Config, min_degree: int, kind: str) -> ChainReport:
     stages: list[tuple[int, ...]] = []
     present = set(cfg.points)
     while True:
-        stage = tuple(
-            p for p in sorted(present) if _degree_in_restriction(cfg, present, p) >= min_degree
-        )
+        degrees = _restriction_degrees(cfg, present)
+        stage = tuple(p for p in sorted(present) if degrees[p] >= min_degree)
         if not stage:
             stages.append(stage)
             return ChainReport(kind, tuple(stages), ok_verdict)
@@ -347,20 +354,34 @@ def admissible_ordering(cfg: Config) -> Optional[Ordering]:
     """Greedy reverse peeling: repeatedly remove a point of current degree
     <= 1 (smallest label first). Succeeds exactly when cfg is nilpotent;
     returns None otherwise.
+
+    The degrees come from one pass over the lines.  Removing a point lowers
+    them only on a line through it that drops to two present points, and a
+    degree never rises, so the removable points wait in one heap.
     """
     cfg._require_simple()
     present = set(cfg.points)
+    degrees = _restriction_degrees(cfg, present)
+    through: defaultdict[int, list[int]] = defaultdict(list)
+    for i, l in enumerate(cfg.lines):
+        for p in l:
+            through[p].append(i)
+    left = [len(l) for l in cfg.lines]  # present points on each line
+    ready = [p for p in cfg.points if degrees[p] <= 1]  # sorted, so a heap
     peeled: list[tuple[int, int]] = []  # (point, weight at removal)
-    while present:
-        candidate = None
-        for p in sorted(present):
-            if _degree_in_restriction(cfg, present, p) <= 1:
-                candidate = p
-                break
-        if candidate is None:
-            return None
-        peeled.append((candidate, _degree_in_restriction(cfg, present, candidate)))
+    while ready:
+        candidate = heapq.heappop(ready)
+        peeled.append((candidate, degrees[candidate]))
         present.remove(candidate)
+        for i in through[candidate]:
+            left[i] -= 1
+            if left[i] == 2:
+                for p in present.intersection(cfg.lines[i]):
+                    degrees[p] -= 1
+                    if degrees[p] == 1:
+                        heapq.heappush(ready, p)
+    if present:
+        return None
     peeled.reverse()
     return Ordering(tuple(p for p, _ in peeled), tuple(w for _, w in peeled))
 

@@ -17,7 +17,11 @@ cross products, [u v q] = dot(cross(gamma_u, gamma_v), q).  The single-q
 verdicts (lifting dimensions, liftings) build the whole matrix on the
 realization's integer columns and the integer form of q; it differs from the
 Fraction matrix only by positive row scalings and one positive scaling per
-column, which keep the rank and scale each kernel vector back exactly.
+column, which keep the rank and scale each kernel vector back exactly.  Each
+row has three nonzeros, and the elimination (`linalg._eliminate`) updates only
+the rows with a nonzero in the pivot column, keeping each row primitive.  A
+lifting's columns gamma_i + z_i q are built from the same integer columns,
+one Fraction per coordinate.
 """
 
 from __future__ import annotations
@@ -37,15 +41,13 @@ from .linalg import (
     BASIS,
     Realization,
     Vec3,
-    _eliminate,
     _integer_kernel,
     _integer_rows,
+    _rank,
     cross,
     det_exact,
     dot,
     rank_vectors,
-    vadd,
-    vscale,
 )
 from .poly import BracketPoly, Q_COL, _select, bracket, const_col, symbolic_minor
 
@@ -325,19 +327,25 @@ def eval_descriptor(
 
 
 def q_general_position(cfg: Config, gamma: Realization, q: Vec3) -> bool:
-    """q outside every realized line and every point span."""
+    """q outside every realized line and every point span.
+
+    On integer columns g and q': q' lies on the span of a nonzero point iff
+    cross(g, q') = 0, and on the line of a pair (a, b) iff
+    det(a, b, q') = dot(a, cross(b, q')) = 0 and the pair is independent.
+    cross(g, q') is taken once per point, and cross(a, b) only for a pair
+    whose determinant is 0.
+    """
     if not any(q):
         return False
     cols = gamma._integer_view[0]
     (q,), _ = _integer_rows([q])
+    by_q = [cross(v, q) for v in cols]
     for p in cfg.nonloop_points:
-        v = cols[p - 1]
-        if any(v) and not any(cross(v, q)):
+        if any(cols[p - 1]) and not any(by_q[p - 1]):
             return False
     for l in cfg.lines:
-        for a, b in combinations([cols[p - 1] for p in l], 2):
-            w = cross(a, b)
-            if any(w) and dot(w, q) == 0:
+        for a, b in combinations(l, 2):
+            if dot(cols[a - 1], by_q[b - 1]) == 0 and any(cross(cols[a - 1], cols[b - 1])):
                 return False
     return True
 
@@ -377,7 +385,7 @@ def _integer_lift_rows(cfg: Config, gamma: Realization, q: Vec3) -> list[list[in
 
 
 def _lift_rank(cfg: Config, gamma: Realization, q: Vec3) -> int:
-    return len(_eliminate(_integer_lift_rows(cfg, gamma, q), reduce=False))
+    return _rank(_integer_lift_rows(cfg, gamma, q))
 
 
 def lift_dim(cfg: Config, gamma: Realization, q: Vec3) -> int:
@@ -403,7 +411,16 @@ def _lift_kernel(cfg: Config, gamma: Realization, q: Vec3) -> list[list[Fraction
 
 
 def _lifted(gamma: Realization, z: Sequence[Fraction], q: Vec3) -> Realization:
-    cols = [vadd(gamma.col(i + 1), vscale(z[i], q)) for i in range(gamma.d)]
+    """The columns gamma_i + z_i * q, one Fraction per coordinate: with
+    gamma_i = g_i / s_i (`_integer_view`), q = q' / s_q and z_i = a_i / b_i,
+    coordinate k is (g_ik * b_i * s_q + a_i * q'_k * s_i) / (s_i * b_i * s_q)."""
+    ints, mults = gamma._integer_view
+    (q,), (s_q,) = _integer_rows([q])
+    cols = []
+    for g, s, zi in zip(ints, mults, z):
+        g_mult, q_mult = zi.denominator * s_q, zi.numerator * s
+        den = s * g_mult
+        cols.append(tuple(Fraction(g_mult * x + q_mult * y, den) for x, y in zip(g, q)))
     return Realization(tuple(cols))
 
 

@@ -4,8 +4,13 @@ There are no tolerances anywhere. Vectors are 3-tuples of Fraction; the
 vector helpers (cross, dot, det3) work on int 3-tuples as well. Matrices are
 lists of row lists with int or Fraction entries. Rank, RREF, kernels and
 determinants clear each row's denominators and then eliminate on integer rows,
-fraction-free (Bareiss), so only their outputs are Fractions, and those are
-exact. A Realization clears its columns' denominators once, on first use, and
+fraction-free, so only their outputs are Fractions, and those are exact. Rank,
+RREF and kernels keep every row primitive and change only the rows with a
+nonzero in the pivot column, so a sparse matrix such as a liftability matrix
+(three nonzeros per row) costs little and no entry grows past the Bareiss
+entry; rank eliminates the shorter side.  det_exact stays Bareiss: exact
+division by the previous pivot leaves the determinant as the last pivot.
+A Realization clears its columns' denominators once, on first use, and
 the membership checks and the bracket and polynomial evaluators read those
 integer columns: a value is an integer sum divided once by the product of the
 column multipliers it involves.
@@ -123,21 +128,34 @@ def _integer_rows(m: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], lis
     return a, mults
 
 
-def _eliminate(a: list[list[int]], reduce: bool) -> list[int]:
-    """Fraction-free elimination of the integer rows a, in place; returns the
-    pivot columns.
+def _primitive(row: Sequence[int]) -> Sequence[int]:
+    """row divided by its content, the gcd of its entries."""
+    h = math.gcd(*row)
+    return [x // h for x in row] if h > 1 else row
 
-    Each step replaces a row by (p*row - f*pivot_row) // prev, where p is the
-    new pivot, f the row's entry in the pivot column and prev the previous
-    pivot.  Every entry stays an integer minor of the input, so the division
-    is exact (Bareiss).  Forward elimination clears below each pivot; with
-    `reduce` (Gauss-Jordan) it clears above too, and every pivot row ends with
-    the last pivot on its pivot column.
+
+def _eliminate(a: list[list[int]], reduce: bool) -> list[int]:
+    """Fraction-free elimination of the integer rows a, with each row kept
+    primitive; returns the pivot columns.
+
+    The rows of a are replaced, never modified, so they may be tuples shared
+    with a caller.  Every row is first divided by its content.  At a pivot p
+    in column c, only the rows whose entry f in column c is nonzero change:
+    such a row becomes (p/g)*row - (f/g)*pivot_row with g = gcd(p, f),
+    divided by its content.  Forward elimination clears below
+    each pivot; with `reduce` (Gauss-Jordan) it clears above too.
+
+    Each row is a nonzero rational multiple of the row Bareiss elimination
+    (exact division by the previous pivot) would hold at the same step, so
+    the pivots and the zero pattern are the same and the rank, the RREF and
+    the kernel are unchanged.  A row is the primitive integer vector on its
+    line, of which the Bareiss row, an integer vector, is an integer
+    multiple: no entry grows past the Bareiss entry, a minor of the input.
     """
     rows = len(a)
     cols = len(a[0]) if rows else 0
+    a[:] = map(_primitive, a)
     pivots: list[int] = []
-    prev = 1
     r = 0
     for c in range(cols):
         if r == rows:
@@ -149,13 +167,22 @@ def _eliminate(a: list[list[int]], reduce: bool) -> list[int]:
         top = a[r]
         p = top[c]
         for i in range(0 if reduce else r + 1, rows):
-            if i != r:
-                f = a[i][c]
-                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], top)]
+            f = a[i][c]
+            if f and i != r:
+                g = math.gcd(p, f)
+                pg, fg = p // g, f // g
+                a[i] = _primitive([pg * x - fg * y for x, y in zip(a[i], top)])
         pivots.append(c)
-        prev = p
         r += 1
     return pivots
+
+
+def _rank(a: Sequence[Sequence[int]]) -> int:
+    """Rank of the integer rows a, which are left as they are.  Eliminates
+    the shorter side: the transpose when there are more rows than columns."""
+    if a and len(a) > len(a[0]):
+        a = list(zip(*a))
+    return len(_eliminate(list(a), reduce=False))
 
 
 def rref(m: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -168,8 +195,7 @@ def rref(m: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[in
 
 
 def rank(m: Sequence[Sequence[Fraction]]) -> int:
-    a, _ = _integer_rows(m)
-    return len(_eliminate(a, reduce=False))
+    return _rank(_integer_rows(m)[0])
 
 
 def kernel_basis(m: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
@@ -207,7 +233,9 @@ def det_exact(m: Sequence[Sequence[Fraction]]) -> Fraction:
     """Exact determinant via fraction-free (Bareiss) elimination.
 
     Denominators are cleared per row first so the elimination runs on
-    integers, which keeps intermediate growth polynomial.
+    integers, which keeps intermediate growth polynomial.  Unlike
+    `_eliminate`, every step divides exactly by the previous pivot and removes
+    no content, so the last pivot is the determinant of the integer rows.
     """
     n = len(m)
     if n == 0:
@@ -276,7 +304,7 @@ class Realization:
         return Realization(tuple(self.col(i) for i in labels))
 
     def rank(self) -> int:
-        return len(_eliminate(list(self._integer_view[0]), reduce=False))
+        return _rank(self._integer_view[0])
 
     def as_rows(self) -> list[list[Fraction]]:
         return [[self.cols[c][r] for c in range(self.d)] for r in range(3)]

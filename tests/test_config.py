@@ -164,6 +164,55 @@ def test_admissible_ordering_dims():
     assert admissible_ordering(preset("qs")) is None
 
 
+def _old_degree(cfg, present, p):
+    return sum(1 for l in cfg.lines if p in l and len(present.intersection(l)) >= 3)
+
+
+def _old_chain_stages(cfg, min_degree):
+    """The chain's stages with every degree rescanned from the lines, the
+    computation the one-pass degrees replaced."""
+    stages, present = [], set(cfg.points)
+    while True:
+        stage = tuple(p for p in sorted(present) if _old_degree(cfg, present, p) >= min_degree)
+        if not stage:
+            return tuple(stages + [stage])
+        if stages and stage == stages[-1]:
+            return tuple(stages)
+        stages.append(stage)
+        present = set(stage)
+
+
+def _old_admissible_ordering(cfg):
+    present, peeled = set(cfg.points), []
+    while present:
+        candidate = next((p for p in sorted(present) if _old_degree(cfg, present, p) <= 1), None)
+        if candidate is None:
+            return None
+        peeled.append((candidate, _old_degree(cfg, present, candidate)))
+        present.remove(candidate)
+    peeled.reverse()
+    return tuple(p for p, _ in peeled), tuple(w for _, w in peeled)
+
+
+def test_chains_and_ordering_match_rescanned_degrees():
+    from bracketforge.harness import random_cactus
+
+    rng = random.Random(5)
+    cfgs = [preset(n) for n in ("qs", "pappus", "pascal", "cactus14", "cycle:5:4", "line:5")]
+    cfgs += [random_cactus(s) for s in range(8)]
+    cfgs += [c.restrict(rng.sample(c.points, rng.randint(3, c.d))) for c in cfgs for _ in range(6)]
+    nilpotent = 0
+    for cfg in cfgs:
+        s, q = chains(cfg)
+        assert s.stages == _old_chain_stages(cfg, 2)
+        assert q.stages == _old_chain_stages(cfg, 3)
+        o = admissible_ordering(cfg)
+        want = _old_admissible_ordering(cfg)
+        assert (None if o is None else (o.perm, o.weights)) == want
+        nilpotent += o is not None
+    assert 0 < nilpotent < len(cfgs)
+
+
 def test_ordering_weights_consistent():
     cfg = preset("cactus14")
     o = admissible_ordering(cfg)

@@ -12,6 +12,7 @@ import hashlib
 import math
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
@@ -28,11 +29,22 @@ from bracketforge.lifting import (
     _numeric_rows,
     construct_lifting,
     lift_dim,
+    q_general_position,
     trivial_lifting_dim,
 )
-from bracketforge.linalg import Realization, _integer_rows, kernel_basis, rank, rank_vectors, vec3
+from bracketforge.linalg import (
+    Realization,
+    _integer_rows,
+    cross,
+    dot,
+    kernel_basis,
+    rank,
+    rank_vectors,
+    vec3,
+)
 
 from test_lifting import CRITERION_6_CONFIGS
+from test_linalg import fraction_rref
 
 # the names the benchmark's lift-kernel workload gives CRITERION_6_CONFIGS
 LIFT_KERNEL_NAMES = ["line:4", "line:6", "cycle:3:3", "cycle:4:4", "random_cactus(0)",
@@ -199,3 +211,72 @@ def test_verdicts_never_build_fraction_rows(monkeypatch):
         assert lift_dim(cfg, gamma, q) >= 0
         assert trivial_lifting_dim(cfg, gamma, q) >= 0
         construct_lifting(cfg, gamma, q)
+
+
+def test_cactus_lift_dim_matches_fraction_rank():
+    """lift_dim against d - rank of the Fraction rows, the rank taken by
+    Gauss-Jordan elimination with Fraction division, on collinear
+    realizations of random cacti up to 30 x 23."""
+    for seed in range(20):
+        cfg = random_cactus(seed)
+        g = collinear_realization(cfg, seed=seed)
+        q = generic_q(g, seed=seed, cfg=cfg)
+        _, pivots = fraction_rref(oracle_rows(cfg, g, q))
+        assert lift_dim(cfg, g, q) == cfg.d - len(pivots), seed
+
+
+def old_q_general_position(cfg, gamma, q) -> bool:
+    """q_general_position with a cross product for every pair on a line."""
+    if not any(q):
+        return False
+    cols = gamma._integer_view[0]
+    (q,), _ = _integer_rows([q])
+    for p in cfg.nonloop_points:
+        v = cols[p - 1]
+        if any(v) and not any(cross(v, q)):
+            return False
+    for l in cfg.lines:
+        for a, b in combinations([cols[p - 1] for p in l], 2):
+            w = cross(a, b)
+            if any(w) and dot(w, q) == 0:
+                return False
+    return True
+
+
+def degenerate_q_inputs(seed: int):
+    """A configuration (one has points on no line), points with some
+    coincident or zero columns, and a q that is random, zero, on a point's
+    span or on the span of two points of a line."""
+    rng = random.Random(seed)
+    cfg = rng.choice([preset("qs"), preset("line:6"), preset("cycle:4:4"), preset("pappus"),
+                      random_cactus(seed % 5), Config(5, lines=[(1, 2, 3)])])
+    frac = lambda: F(rng.randint(-6, 6), rng.randint(1, 4))
+    if rng.random() < 0.5:
+        cols = list(collinear_realization(cfg, seed).cols)
+    else:
+        cols = [vec3(frac(), frac(), frac()) for _ in range(cfg.d)]
+    line = rng.choice(cfg.lines)
+    for _ in range(rng.randint(0, 2)):
+        a, b = rng.sample(line, 2)
+        cols[b - 1] = tuple(frac() * x for x in cols[a - 1])  # coincident (or zero)
+    if rng.random() < 0.3:
+        cols[rng.choice(line) - 1] = vec3(0, 0, 0)
+    a, b = (cols[p - 1] for p in rng.sample(line, 2))
+    s, t = frac(), frac()
+    q = rng.choice([
+        vec3(frac(), frac(), frac()),
+        vec3(0, 0, 0),
+        tuple(s * x for x in cols[rng.randrange(cfg.d)]),
+        tuple(s * x + t * y for x, y in zip(a, b)),
+    ])
+    return cfg, Realization(tuple(cols)), q
+
+
+def test_q_general_position_matches_all_pairs_cross_products():
+    verdicts = []
+    for seed in range(400):
+        cfg, gamma, q = degenerate_q_inputs(seed)
+        want = old_q_general_position(cfg, gamma, q)
+        assert q_general_position(cfg, gamma, q) == want, seed
+        verdicts.append(want)
+    assert 40 < sum(verdicts) < 360

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -9,6 +10,9 @@ from hypothesis import strategies as st
 from bracketforge.linalg import (
     DegenerateLineError,
     Realization,
+    _eliminate,
+    _integer_rows,
+    _rank,
     cross,
     det3,
     det_exact,
@@ -196,6 +200,100 @@ def test_integer_elimination_matches_fraction_oracle(m):
     assert all(type(x) is F for row in got[0] for x in row)
     assert rank(m) == len(pivots)
     assert kernel_basis(m) == fraction_kernel(m)
+
+
+def bareiss_eliminate(a, reduce):
+    """Bareiss elimination, the oracle for `_eliminate`: every row below (and
+    with `reduce` also above) the pivot becomes (p*row - f*pivot_row) // prev,
+    whatever its entry f, with prev the previous pivot."""
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    pivots = []
+    prev = 1
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        pr = next((i for i in range(r, rows) if a[i][c] != 0), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        top = a[r]
+        p = top[c]
+        for i in range(0 if reduce else r + 1, rows):
+            if i != r:
+                f = a[i][c]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], top)]
+        pivots.append(c)
+        prev = p
+        r += 1
+    return pivots
+
+
+@st.composite
+def circuit_layouts(draw):
+    """Integer rows laid out like a liftability matrix: row (c1, c2, c3) holds
+    [c2 c3 q], -[c1 c3 q], [c1 c2 q] of integer points, collinear or not, and
+    nothing else.  Tall and wide shapes up to 30 x 23, with some rows and
+    columns then set to zero."""
+    rows, cols = draw(st.integers(1, 30)), draw(st.integers(3, 23))
+    coord = st.integers(-40, 40)
+    if draw(st.booleans()):
+        a, b = draw(st.tuples(coord, coord, coord)), draw(st.tuples(coord, coord, coord))
+        ts = draw(st.lists(coord, min_size=cols, max_size=cols))
+        pts = [tuple(x + t * y for x, y in zip(a, b)) for t in ts]
+    else:
+        pts = draw(st.lists(st.tuples(coord, coord, coord), min_size=cols, max_size=cols))
+    q = draw(st.tuples(coord, coord, coord))
+    triples = st.lists(st.integers(0, cols - 1), min_size=3, max_size=3, unique=True)
+    zero_rows = draw(st.sets(st.integers(0, rows - 1), max_size=3))
+    zero_cols = draw(st.sets(st.integers(0, cols - 1), max_size=3))
+    out = []
+    for i in range(rows):
+        c1, c2, c3 = sorted(draw(triples))
+        row = [0] * cols
+        row[c1] = det3(pts[c2], pts[c3], q)
+        row[c2] = -det3(pts[c1], pts[c3], q)
+        row[c3] = det3(pts[c1], pts[c2], q)
+        out.append([0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)])
+    return out
+
+
+def check_against_bareiss(a):
+    """`_eliminate` picks Bareiss's pivots, keeps every row primitive and no
+    entry above the Bareiss entry; the rank does not depend on the side."""
+    transposed = [list(col) for col in zip(*a)]
+    for reduce in (False, True):
+        got, want = [list(row) for row in a], [list(row) for row in a]
+        pivots = _eliminate(got, reduce)
+        assert pivots == bareiss_eliminate(want, reduce)
+        for row, oracle in zip(got, want):
+            assert math.gcd(*row) in (0, 1)
+            assert all(abs(x) <= abs(y) for x, y in zip(row, oracle))
+    r = len(pivots)
+    assert len(_eliminate([list(row) for row in transposed], False)) == r
+    assert _rank(a) == _rank(transposed) == r
+
+
+@given(circuit_layouts())
+@settings(max_examples=150, deadline=None)
+def test_elimination_on_circuit_layouts_matches_bareiss(a):
+    check_against_bareiss(a)
+
+
+@given(matrices())
+@settings(max_examples=200, deadline=None)
+def test_elimination_matches_bareiss(m):
+    check_against_bareiss(_integer_rows(m)[0])
+    assert rank(m) == rank([list(col) for col in zip(*m)])
+
+
+def test_rank_leaves_its_rows_alone():
+    tall = [[0, 4, 6], [1, 0, 1], [3, 4, 7], [0, 0, 5]]
+    wide = [[0, 4, 6, 2], [1, 0, 1, 1]]
+    assert _rank(tall) == 3 and _rank(wide) == 2
+    assert tall == [[0, 4, 6], [1, 0, 1], [3, 4, 7], [0, 0, 5]]
+    assert wide == [[0, 4, 6, 2], [1, 0, 1, 1]]
 
 
 @pytest.mark.parametrize("fn", [rref, rank, kernel_basis])
