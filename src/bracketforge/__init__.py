@@ -38,8 +38,6 @@ from .linalg import (
 from .poly import BracketPoly, bracket, symbolic_minor
 from .gc import (
     BracketCombo,
-    GCExpr,
-    concurrency_poly,
     gm_generators,
     gm_rewrite,
     join,

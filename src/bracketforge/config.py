@@ -149,8 +149,7 @@ class Config:
         """All independent 3-subsets of the ground set, in lexicographic order.
 
         Computed on the first call and kept, like circuits3(): membership
-        checks ask for them on every realization, while eval_descriptor builds
-        a new Config per call and never asks.
+        checks ask for them on every realization.
         """
         return self._bases
 
@@ -503,31 +502,6 @@ def subset_has_cycle(cfg: Config, subset: Iterable[int]) -> bool:
     if not subset <= set(cfg.nonloop_points):
         raise ConfigError("subset must consist of non-loop points")
     return any(len(block) > 1 for block in _blocks(_point_line_graph(cfg, subset)))
-
-
-def subset_has_cycle_dfs(cfg: Config, subset: Iterable[int]) -> bool:
-    """Independent cross-check of subset_has_cycle: a depth-first search of
-    the same point-line incidence graph, which has a cycle iff the search
-    meets an edge to a visited vertex other than the one it came from."""
-    adj = _point_line_graph(cfg, subset)
-    seen: set = set()
-    for root in adj:
-        if root in seen:
-            continue
-        seen.add(root)
-        # (parent, vertex, unexplored neighbours) along the current path
-        stack = [(None, root, iter(adj[root]))]
-        while stack:
-            parent, v, children = stack[-1]
-            w = next(children, None)
-            if w is None:
-                stack.pop()
-            elif w != parent:
-                if w in seen:
-                    return True
-                seen.add(w)
-                stack.append((v, w, iter(adj[w])))
-    return False
 
 
 # ---------------------------------------------------------------------------

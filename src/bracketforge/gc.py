@@ -5,24 +5,23 @@ owns the coefficients, the ring operations, equality and the printer:
 
 * BracketCombo - a formal Q-linear combination of products of brackets
   [i j k] on point symbols.  This layer keeps the shape in which such
-  polynomials are usually printed and is the working representation for the
-  meet/join calculus and the rewriting procedure.
+  polynomials are usually printed and is the working representation for
+  meet, join and the rewriting procedure.
 * BracketPoly (from .poly) - the fully expanded polynomial in the matrix
   variables.  Two formally different bracket combinations can expand to the
   same polynomial (bracket syzygies), so canonical comparison happens at
   this layer.  Evaluation does not need it: a bracket's value at a
   realization is a 3 x 3 determinant.
 
-Grades are the exterior-algebra grades in dimension 3: points are grade 1,
-lines (2-extensors) grade 2, scalars grade 0.  Meet is implemented for the
-one case needed in rank 3: two lines meet in the grade-1 expression
-ab ^ cd = [a b c] d - [a b d] c.
+In rank 3 every Grassmann-Cayley expression used here is the join of three
+grade-1 terms, each a point or the meet of two lines.  Both have closed
+forms: two lines meet in the point ab ^ cd = [a b d] c - [a b c] d, and the
+join of three points is their bracket, extended multilinearly.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
@@ -35,10 +34,6 @@ from .poly import BracketPoly, LinearCombination, bracket, sort_sign
 # A bracket triple is stored sorted ascending; a combo monomial is a sorted
 # tuple of such triples.
 ComboMono = tuple
-
-
-class GradeError(ValueError):
-    pass
 
 
 def _combo_mono_mul(a: ComboMono, b: ComboMono) -> ComboMono:
@@ -164,99 +159,32 @@ def parse_bracket_text(text: str) -> BracketCombo:
 
 
 # ---------------------------------------------------------------------------
-# Graded expressions
+# Meet and join in rank 3
 
 
-@dataclass(frozen=True)
-class GCExpr:
-    """Formal linear combination of grade-k extensors on point symbols.
+def meet(l1: Sequence[int], l2: Sequence[int]) -> dict[int, BracketCombo]:
+    """The point where the lines ab and cd meet, as {point: coefficient}.
 
-    terms maps a sorted tuple of k distinct points to a BracketCombo
-    coefficient; grade-0 expressions use the empty tuple.
+    For l1 = (a, b) and l2 = (c, d) this is ab ^ cd = [a b d] c - [a b c] d.
     """
-
-    grade: int
-    terms: tuple  # tuple of (symbol tuple, BracketCombo) pairs, sorted
-
-    @staticmethod
-    def make(grade: int, mapping: dict) -> "GCExpr":
-        items = tuple(sorted((k, v) for k, v in mapping.items() if not v.is_zero()))
-        return GCExpr(grade, items)
-
-    def is_zero(self) -> bool:
-        return not self.terms
+    (a, b), (c, d) = l1, l2
+    if a == b or c == d:
+        raise ValueError(f"a line needs two distinct points, got {tuple(l1)} and {tuple(l2)}")
+    return {c: BracketCombo.of_bracket(a, b, d), d: -BracketCombo.of_bracket(a, b, c)}
 
 
-def point_expr(p: int) -> GCExpr:
-    return GCExpr.make(1, {(p,): BracketCombo.const(1)})
+def join(e1, e2, e3) -> BracketCombo:
+    """Join of three grade-1 terms: the sum of c1 c2 c3 [p1 p2 p3].
 
-
-def line_expr(a: int, b: int) -> GCExpr:
-    if a == b:
-        raise GradeError("a line needs two distinct points")
-    sign = 1 if a < b else -1
-    return GCExpr.make(2, {tuple(sorted((a, b))): BracketCombo.const(sign)})
-
-
-def join(a: GCExpr, b: GCExpr) -> GCExpr:
-    """Exterior product; grade-3 results collapse to scalar brackets."""
-    g = a.grade + b.grade
-    if g > 3:
-        raise GradeError(f"join of grades {a.grade} and {b.grade} exceeds 3")
-    out: dict = {}
-    for s1, c1 in a.terms:
-        for s2, c2 in b.terms:
-            sym, sign = sort_sign(s1 + s2)
-            if sym is None:
-                continue
-            coeff = (c1 * c2).scale(sign)
-            if g == 3:
-                coeff = coeff * BracketCombo.of_bracket(*sym)
-                sym = ()
-            if sym in out:
-                out[sym] = out[sym] + coeff
-            else:
-                out[sym] = coeff
-    return GCExpr.make(0 if g == 3 else g, out)
-
-
-def meet(a: GCExpr, b: GCExpr) -> GCExpr:
-    """Meet of two lines: ab ^ cd = [a b c] d - [a b d] c, bilinear."""
-    if a.grade != 2 or b.grade != 2:
-        raise GradeError("meet is implemented for two grade-2 expressions")
-    out: dict = {}
-    for (x, y), c1 in a.terms:
-        for (u, v), c2 in b.terms:
-            for sym, other, sgn in (((u,), v, 1), ((v,), u, -1)):
-                coeff = (c1 * c2 * BracketCombo.of_bracket(x, y, other)).scale(sgn)
-                key = sym
-                if key in out:
-                    out[key] = out[key] + coeff
-                else:
-                    out[key] = coeff
-    return GCExpr.make(1, out)
-
-
-def flatten(e: GCExpr) -> BracketCombo:
-    if e.grade != 0:
-        raise GradeError("only grade-0 expressions flatten to a scalar")
-    total = BracketCombo.zero()
-    for _, c in e.terms:
-        total = total + c
-    return total
-
-
-def concurrency_combo(l1: Sequence[int], l2: Sequence[int], l3: Sequence[int]) -> BracketCombo:
-    """(l1 ^ l2) v l3, each line given by two distinct chosen points."""
-    for l in (l1, l2, l3):
-        if len(l) != 2 or l[0] == l[1]:
-            raise GradeError(f"degenerate line spec {tuple(l)}")
-    return flatten(join(meet(line_expr(*l1), line_expr(*l2)), line_expr(*l3)))
-
-
-def concurrency_poly(l1: Sequence[int], l2: Sequence[int], l3: Sequence[int]) -> BracketPoly:
-    """Polynomial vanishing whenever the three realized lines are concurrent."""
-    return concurrency_combo(l1, l2, l3).expand()
+    Each term is a point label (coefficient 1) or the {point: coefficient}
+    mapping returned by meet.
+    """
+    one = BracketCombo.const(1)
+    terms = [{e: one} if isinstance(e, int) else e for e in (e1, e2, e3)]
+    out = BracketCombo.zero()
+    for (p1, c1), (p2, c2), (p3, c3) in product(*(t.items() for t in terms)):
+        out = out + c1 * c2 * c3 * BracketCombo.of_bracket(p1, p2, p3)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -12,18 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import Config, cactus_check, q_points, subset_has_cycle
-from .gc import (
-    BracketCombo,
-    circuit_combos,
-    concurrency_combo,
-    flatten,
-    gm_generators,
-    join,
-    line_expr,
-    meet,
-    parse_bracket_text,
-    point_expr,
-)
+from .gc import BracketCombo, circuit_combos, gm_generators, join, meet, parse_bracket_text
 
 
 class HypothesisError(ValueError):
@@ -69,33 +58,24 @@ def pascal_gc_expressions():
     """The seven Pascal GC expressions as (description, BracketCombo)."""
     out = []
     # (i) meet of three line pairs joined together
-    e = join(
-        join(
-            meet(line_expr(1, 5), line_expr(2, 4)),
-            meet(line_expr(1, 6), line_expr(3, 4)),
-        ),
-        meet(line_expr(3, 5), line_expr(2, 6)),
-    )
-    out.append(("(15^24)v(16^34)v(35^26)", flatten(e)))
+    e = join(meet((1, 5), (2, 4)), meet((1, 6), (3, 4)), meet((3, 5), (2, 6)))
+    out.append(("(15^24)v(16^34)v(35^26)", e))
     # (ii) a point joined with two meets
     for p, first, second in (
         (7, ((5, 3), (2, 6)), ((3, 4), (6, 1))),
         (8, ((5, 1), (2, 4)), ((3, 5), (6, 2))),
         (9, ((4, 3), (1, 6)), ((2, 4), (5, 1))),
     ):
-        e = join(
-            join(point_expr(p), meet(line_expr(*first[0]), line_expr(*first[1]))),
-            meet(line_expr(*second[0]), line_expr(*second[1])),
-        )
-        out.append((f"{p}v({first[0]}^{first[1]})v({second[0]}^{second[1]})", flatten(e)))
+        e = join(p, meet(*first), meet(*second))
+        out.append((f"{p}v({first[0]}^{first[1]})v({second[0]}^{second[1]})", e))
     # (iii) two points joined with one meet
     for p1, p2, (a, b), (c, d) in (
         (7, 9, (3, 4), (6, 1)),
         (7, 8, (3, 5), (6, 2)),
         (9, 8, (1, 5), (4, 2)),
     ):
-        e = join(join(point_expr(p1), point_expr(p2)), meet(line_expr(a, b), line_expr(c, d)))
-        out.append((f"{p1}v{p2}v({a}{b}^{c}{d})", flatten(e)))
+        e = join(p1, p2, meet((a, b), (c, d)))
+        out.append((f"{p1}v{p2}v({a}{b}^{c}{d})", e))
     return out
 
 
@@ -110,9 +90,8 @@ def pappus_gc_expressions():
     cfg = preset("pappus")
     out = []
     for p in cfg.points:
-        l1, l2, l3 = sorted(cfg.lines_through(p))
-        pairs = [tuple(x for x in l if x != p) for l in (l1, l2, l3)]
-        out.append((f"({pairs[0]}^{pairs[1]})v{pairs[2]}", concurrency_combo(*pairs)))
+        l1, l2, l3 = (tuple(x for x in l if x != p) for l in sorted(cfg.lines_through(p)))
+        out.append((f"({l1}^{l2})v{l3}", join(meet(l1, l2), *l3)))
     return out
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations, product
 from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
@@ -212,7 +212,10 @@ class MinorDescriptor:
     q_assignment: Optional[tuple[int, ...]]
 
 
+@cache
 def _matrix_config(preset: str, deleted: Optional[int]) -> Config:
+    """The configuration of a liftability matrix, built once per matrix;
+    a Config is immutable, so its derived facts are computed once too."""
     base = config.preset(preset)
     return base if deleted is None else base.delete({deleted})
 
@@ -283,15 +286,6 @@ def sample_descriptors(preset: str, count: int, seed: int) -> list[MinorDescript
         assign = None if qmode == "symbolic" else tuple(rng.randrange(1, 4) for _ in range(cfg.d))
         out.append(MinorDescriptor(preset, tag, deleted, _minor_rows(cfg, size, cols), cols, assign))
     return out
-
-
-def descriptor_matrix(desc: MinorDescriptor) -> LiftMatrix:
-    """The symbolic liftability matrix a descriptor's minor is taken from."""
-    if desc.q_assignment is None:
-        scheme = QScheme.symbolic()
-    else:
-        scheme = QScheme.per_col(tuple(BASIS[i - 1] for i in desc.q_assignment))
-    return lift_matrix(_matrix_config(desc.preset, desc.deleted), scheme)
 
 
 def eval_descriptor(

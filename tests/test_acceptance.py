@@ -17,7 +17,7 @@ from bracketforge.config import (
     q_points,
     subset_has_cycle,
 )
-from bracketforge.gc import line_expr, meet, parse_bracket_text
+from bracketforge.gc import meet, parse_bracket_text
 from bracketforge.harness import (
     cactus_realization,
     collinear_realization,
@@ -306,9 +306,8 @@ def test_criterion_9_property_suites():
         pt = cross(la, lb)
         if la == (0, 0, 0) or lb == (0, 0, 0) or pt == (0, 0, 0):
             continue
-        expr = meet(line_expr(1, 2), line_expr(3, 4))
         vec = (F(0), F(0), F(0))
-        for (sym,), combo in expr.terms:
+        for sym, combo in meet((1, 2), (3, 4)).items():
             coeff = combo.eval(g)
             vec = tuple(x + coeff * y for x, y in zip(vec, g.col(sym)))
         if not proportional(vec, pt):

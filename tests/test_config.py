@@ -19,8 +19,9 @@ from bracketforge.config import (
     preset,
     q_points,
     subset_has_cycle,
-    subset_has_cycle_dfs,
 )
+
+from oracles import subset_has_cycle_dfs
 
 
 def test_qs_circuits():

@@ -21,7 +21,6 @@ from bracketforge.config import (
     preset,
     q_points,
     subset_has_cycle,
-    subset_has_cycle_dfs,
 )
 from bracketforge.harness import (
     decomposition_report,
@@ -30,6 +29,8 @@ from bracketforge.harness import (
     xi_limit_config,
 )
 from bracketforge.linalg import cross
+
+from oracles import subset_has_cycle_dfs
 
 
 def _configs():

@@ -1,5 +1,8 @@
+import hashlib
+import json
 import random
 from fractions import Fraction as F
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given
@@ -8,22 +11,17 @@ from hypothesis import strategies as st
 from bracketforge.config import preset
 from bracketforge.gc import (
     BracketCombo,
-    GradeError,
     circuit_combos,
-    concurrency_combo,
-    concurrency_poly,
-    flatten,
     gm_generators,
     gm_rewrite,
     gm_rewrite_combo,
     join,
-    line_expr,
     meet,
     parse_bracket_text,
-    point_expr,
     rewrite_choices,
 )
 from bracketforge.harness import pascal_family_sample, random_cactus
+from bracketforge.ideals import pappus_gc_expressions, pascal_gc_expressions
 from bracketforge.linalg import Realization, cross, det3, proportional, vec3, vscale, vsub
 
 
@@ -101,19 +99,16 @@ def test_parse_multi_digit_and_compact_forms():
 
 
 def test_join_grade3_is_bracket():
-    e = join(join(point_expr(1), point_expr(2)), point_expr(3))
-    combo = flatten(e)
-    assert combo == BracketCombo.of_bracket(1, 2, 3)
+    assert join(1, 2, 3) == BracketCombo.of_bracket(1, 2, 3)
 
 
 def test_join_repeated_point_is_zero():
-    e = join(join(point_expr(1), point_expr(2)), point_expr(1))
-    assert flatten(e).is_zero()
+    assert join(1, 2, 1).is_zero()
 
 
-def test_meet_grade_errors():
-    with pytest.raises(GradeError):
-        meet(point_expr(1), point_expr(2))
+def test_meet_repeated_point_raises():
+    with pytest.raises(ValueError):
+        meet((1, 1), (2, 3))
 
 
 def test_meet_matches_line_intersection():
@@ -129,10 +124,9 @@ def test_meet_matches_line_intersection():
         pt = cross(la, lb)
         if pt == (0, 0, 0):
             continue
-        expr = meet(line_expr(1, 2), line_expr(3, 4))
-        # evaluate the grade-1 expression: sum of coefficient * point vector
+        # evaluate the meet: sum of coefficient * point vector
         vec = (F(0), F(0), F(0))
-        for (sym,), combo in expr.terms:
+        for sym, combo in meet((1, 2), (3, 4)).items():
             coeff = combo.eval(g)
             vec = tuple(x + coeff * y for x, y in zip(vec, g.col(sym)))
         assert proportional(vec, pt)
@@ -141,7 +135,7 @@ def test_meet_matches_line_intersection():
 
 def test_concurrency_poly_detects_concurrence():
     rng = random.Random(4)
-    poly = concurrency_poly((1, 2), (3, 4), (5, 6))
+    poly = join(meet((1, 2), (3, 4)), 5, 6).expand()
     hits = 0
     while hits < 20:
         # three lines through a common point p
@@ -160,9 +154,23 @@ def test_concurrency_poly_detects_concurrence():
 
 
 def test_concurrency_combo_shape():
-    combo = concurrency_combo((2, 3), (5, 7), (6, 8))
+    combo = join(meet((2, 3), (5, 7)), 6, 8)
     want = parse_bracket_text("[235][768]-[237][568]")
     assert combo.expand().eq_up_to_sign(want.expand())
+
+
+def test_meet_and_join_match_graded_calculus_goldens():
+    """Digests recorded from the graded meet/join calculus these closed forms
+    replaced: the published Pascal and Pappus expressions, and the
+    concurrency combination (l1 ^ l2) v l3 of every triple of ordered pairs
+    of distinct points among 1..6."""
+    pairs = [[d, c.to_text()] for d, c in pascal_gc_expressions() + pappus_gc_expressions()]
+    digest = hashlib.sha256(json.dumps(pairs).encode()).hexdigest()
+    assert digest == "0277fb9adbd90c26465d32cff9f33a153dc0ddfc9638246cabb36871ff16cc44"
+    lines = list(permutations(range(1, 7), 2))
+    texts = [join(meet(l1, l2), *l3).to_text() for l1, l2, l3 in product(lines, repeat=3)]
+    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+    assert digest == "95679b3e0c9dbc337e33e07c8e6af375e45cb3c88414c47d61ab64ac55a73f06"
 
 
 def test_gm_rewrite_combo_and_poly_agree():

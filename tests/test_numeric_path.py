@@ -26,12 +26,11 @@ from bracketforge.lifting import (
     MinorDescriptor,
     QScheme,
     _numeric_rows,
-    descriptor_matrix,
     eval_descriptor,
     lift_matrix,
     sample_descriptors,
 )
-from bracketforge.linalg import Realization, vec3
+from bracketforge.linalg import BASIS, Realization, vec3
 
 
 def generic_points(seed: int, d: int, n: int = 2) -> list[Realization]:
@@ -73,6 +72,16 @@ def test_combo_eval_matches_expanded_polynomial(name, gens, sampler):
             nonzero += value != 0
     assert all(c.eval(g) == 0 for g in realizations for c in combos)
     assert nonzero > 0  # the generic points compare nonzero values too
+
+
+def descriptor_matrix(desc: MinorDescriptor):
+    """The symbolic liftability matrix a descriptor's minor is taken from."""
+    if desc.q_assignment is None:
+        scheme = QScheme.symbolic()
+    else:
+        scheme = QScheme.per_col(tuple(BASIS[i - 1] for i in desc.q_assignment))
+    cfg = preset(desc.preset)
+    return lift_matrix(cfg if desc.deleted is None else cfg.delete({desc.deleted}), scheme)
 
 
 @pytest.mark.parametrize(
