@@ -3,6 +3,11 @@
 Everything here is exact: realizations are rational, membership means
 literal vanishing of determinants, and limit statements are checked through
 monotone shrinking of exact differences at sample parameter values.
+
+Every sampler draws through `_retrying`: a draw is rejected only by raising
+`FixtureError` (or the `DegenerateLineError` of `meet_lines`), and each
+configuration sample is accepted by one realization-space check,
+`_realization`.
 """
 
 from __future__ import annotations
@@ -13,12 +18,13 @@ from fractions import Fraction
 from functools import partial
 from itertools import combinations
 from math import gcd
-from typing import Callable, Optional, TypeVar
+from typing import Callable, Iterable, Optional, TypeVar
 
 from .config import Config, admissible_ordering, cactus_check, free_glue, preset, q_points
 from .gc import gm_generators
 from .linalg import (
     ZERO3,
+    DegenerateLineError,
     Realization,
     Vec3,
     _integer_rows,
@@ -119,17 +125,39 @@ def _rand_frac(rng: random.Random) -> Fraction:
     return Fraction(num, den)
 
 
+def _free(rng: random.Random) -> Vec3:
+    """A generic point (1, a, b)."""
+    return vec3(1, _rand_frac(rng), _rand_frac(rng))
+
+
+def _on(a: Vec3, b: Vec3, t: Fraction) -> Vec3:
+    """The point a + t*b of the line spanned by a and b."""
+    return vec3(*(x + t * y for x, y in zip(a, b)))
+
+
+def _realization(cfg: Config, cols: Iterable[Vec3]) -> Realization:
+    """The realization with these columns, if it lies in cfg's realization
+    space; raises FixtureError naming the first violation otherwise."""
+    gamma = Realization(tuple(cols))
+    ok, witness = in_realization_space(cfg, gamma)
+    if not ok:
+        raise FixtureError(f"parameters degenerate a basis minor: {witness}")
+    return gamma
+
+
 T = TypeVar("T")
 
 
-def _retrying(make: Callable[[random.Random], Optional[T]], seed: int) -> T:
-    """The first draw make(rng) accepts; make returns None to reject one."""
+def _retrying(make: Callable[[random.Random], T], seed: int) -> T:
+    """The first draw make(rng) returns.  make rejects a draw by raising
+    FixtureError or DegenerateLineError; any other exception propagates."""
     rng = random.Random(seed)
     for _ in range(RETRY_CAP):
-        draw = make(rng)
-        if draw is not None:
-            return draw
-    raise FixtureError("no valid sample found within the retry cap")
+        try:
+            return make(rng)
+        except (FixtureError, DegenerateLineError) as exc:
+            reason = exc
+    raise FixtureError(f"no valid sample found within the retry cap; last rejection: {reason}")
 
 
 def pappus_realization(seed: int = 0) -> Realization:
@@ -137,28 +165,14 @@ def pappus_realization(seed: int = 0) -> Realization:
     cross-intersections are computed exactly, which forces the ninth line."""
     cfg = preset("pappus")
 
-    def make(rng: random.Random) -> Optional[Realization]:
-        a1 = vec3(1, _rand_frac(rng), _rand_frac(rng))
-        a2 = vec3(1, _rand_frac(rng), _rand_frac(rng))
-        b1 = vec3(1, _rand_frac(rng), _rand_frac(rng))
-        b2 = vec3(1, _rand_frac(rng), _rand_frac(rng))
-
-        def on(u, v, t: Fraction) -> Vec3:
-            return vec3(u[0] + t * v[0], u[1] + t * v[1], u[2] + t * v[2])
-
-        t1, t2, t3 = (_rand_frac(rng) for _ in range(3))
-        s1, s2, s3 = (_rand_frac(rng) for _ in range(3))
-        p = {}
-        p[1], p[2], p[3] = on(a1, a2, t1), on(a1, a2, t2), on(a1, a2, t3)
-        p[4], p[5], p[6] = on(b1, b2, s1), on(b1, b2, s2), on(b1, b2, s3)
-        try:
-            p[7] = meet_lines(p[1], p[5], p[2], p[4])
-            p[8] = meet_lines(p[1], p[6], p[3], p[4])
-            p[9] = meet_lines(p[2], p[6], p[3], p[5])
-        except ValueError:
-            return None
-        gamma = Realization(tuple(p[i] for i in range(1, 10)))
-        return gamma if in_realization_space(cfg, gamma)[0] else None
+    def make(rng: random.Random) -> Realization:
+        a1, a2, b1, b2 = (_free(rng) for _ in range(4))
+        p1, p2, p3 = (_on(a1, a2, _rand_frac(rng)) for _ in range(3))
+        p4, p5, p6 = (_on(b1, b2, _rand_frac(rng)) for _ in range(3))
+        p7 = meet_lines(p1, p5, p2, p4)
+        p8 = meet_lines(p1, p6, p3, p4)
+        p9 = meet_lines(p2, p6, p3, p5)
+        return _realization(cfg, (p1, p2, p3, p4, p5, p6, p7, p8, p9))
 
     return _retrying(make, seed)
 
@@ -184,23 +198,11 @@ def pascal_family(
         p[9] = meet_lines(p[3], p[5], p[2], p[6])
     except ValueError as exc:
         raise FixtureError(f"degenerate parameters: {exc}")
-    gamma = Realization(tuple(p[i] for i in range(1, 10)))
-    ok, witness = in_realization_space(cfg, gamma)
-    if not ok:
-        raise FixtureError(f"parameters degenerate a basis minor: {witness}")
-    return gamma
+    return _realization(cfg, (p[i] for i in range(1, 10)))
 
 
 def pascal_family_sample(seed: int = 0) -> Realization:
-    def attempt(rng: random.Random) -> Optional[Realization]:
-        try:
-            return pascal_family(
-                _rand_frac(rng), _rand_frac(rng), _rand_frac(rng), _rand_frac(rng), _rand_frac(rng)
-            )
-        except FixtureError:
-            return None
-
-    return _retrying(attempt, seed)
+    return _retrying(lambda rng: pascal_family(*(_rand_frac(rng) for _ in range(5))), seed)
 
 
 # Columns of the 8-point family below are indexed, left to right, by the
@@ -224,12 +226,7 @@ def pappus8_family(v: Fraction, z: Fraction, w: Fraction) -> Realization:
         7: vec3(1 + v, 1 + z, 1),
         8: vec3(1, w + z * w, w),
     }
-    gamma = Realization(tuple(by_old[old] for old in range(2, 10)))
-    cfg = pappus8_cfg()
-    ok, witness = in_realization_space(cfg, gamma)
-    if not ok:
-        raise FixtureError(f"parameters degenerate a basis minor: {witness}")
-    return gamma
+    return _realization(pappus8_cfg(), (by_old[old] for old in range(2, 10)))
 
 
 def xi_limit_config() -> Config:
@@ -480,7 +477,7 @@ def cactus_realization(cfg: Config, seed: int = 0) -> Realization:
     if ordering is None:
         raise FixtureError("cactus configuration should be nilpotent")
 
-    def attempt(rng: random.Random) -> Optional[Realization]:
+    def attempt(rng: random.Random) -> Realization:
         placed: dict[int, Vec3] = {}
         for p in ordering.perm:
             constraining = None
@@ -490,29 +487,28 @@ def cactus_realization(cfg: Config, seed: int = 0) -> Realization:
                     constraining = earlier
                     break
             if constraining is None:
-                placed[p] = vec3(1, _rand_frac(rng), _rand_frac(rng))
+                placed[p] = _free(rng)
             else:
                 a, b = placed[constraining[0]], placed[constraining[1]]
-                t = _rand_frac(rng)
-                placed[p] = vec3(*(x + t * y for x, y in zip(a, b)))
-        gamma = Realization(tuple(placed[i] for i in range(1, cfg.d + 1)))
-        return gamma if in_realization_space(cfg, gamma)[0] else None
+                placed[p] = _on(a, b, _rand_frac(rng))
+        return _realization(cfg, (placed[i] for i in range(1, cfg.d + 1)))
 
     return _retrying(attempt, seed)
 
 
-def _complete_quadrilateral(rng: random.Random) -> Optional[Realization]:
+def _complete_quadrilateral(rng: random.Random) -> Realization:
     """The six pairwise intersection points of four generic lines, labelled
-    to match the "qs" preset's circuits; None if the sample degenerates."""
-    cfg = preset("qs")
+    to match the "qs" preset's circuits; raises FixtureError if the sample
+    degenerates."""
     lines = [vec3(*(_rand_frac(rng) for _ in range(3))) for _ in range(4)]
 
     def pt(i: int, j: int) -> Vec3:
         return cross(lines[i], lines[j])
 
     # point 1 = L1^L2, 2 = L1^L3, 3 = L1^L4, 4 = L3^L4, 5 = L2^L4, 6 = L2^L3
-    full = Realization((pt(0, 1), pt(0, 2), pt(0, 3), pt(2, 3), pt(1, 3), pt(1, 2)))
-    return full if in_realization_space(cfg, full)[0] else None
+    return _realization(
+        preset("qs"), (pt(0, 1), pt(0, 2), pt(0, 3), pt(2, 3), pt(1, 3), pt(1, 2))
+    )
 
 
 def qs_realization(seed: int = 0) -> Realization:
@@ -528,11 +524,8 @@ def quadrilateral_set_flat(seed: int = 0) -> Realization:
     generic line.  The image satisfies every circuit, spans only a plane of
     vectors, and is liftable back to the original by construction.
     """
-    def attempt(rng: random.Random) -> Optional[Realization]:
-        full = _complete_quadrilateral(rng)
-        if full is None:
-            return None
-        cols = full.cols
+    def attempt(rng: random.Random) -> Realization:
+        cols = _complete_quadrilateral(rng).cols
         center = vec3(*(_rand_frac(rng) for _ in range(3)))
         h = tuple(_rand_frac(rng) for _ in range(3))
 
@@ -540,7 +533,7 @@ def quadrilateral_set_flat(seed: int = 0) -> Realization:
             return sum(a * b for a, b in zip(h, v))
 
         if form(center) == 0:
-            return None
+            raise FixtureError("the center lies on the image line")
         flat = Realization(
             tuple(
                 vec3(*(form(center) * v[r] - form(v) * center[r] for r in range(3)))
@@ -549,7 +542,7 @@ def quadrilateral_set_flat(seed: int = 0) -> Realization:
         )
         # every image lies in the plane h = 0, so distinct points give rank 2
         if any(not any(cross(a, b)) for a, b in combinations(flat.cols, 2)):
-            return None
+            raise FixtureError("two projected points coincide")
         return flat
 
     return _retrying(attempt, seed)
@@ -559,19 +552,15 @@ def collinear_realization(cfg: Config, seed: int = 0) -> Realization:
     """Generic distinct nonzero collinear points (a rank-2 collection that
     satisfies every 3-circuit trivially)."""
 
-    def attempt(rng: random.Random) -> Optional[Realization]:
-        a = vec3(1, _rand_frac(rng), _rand_frac(rng))
+    def attempt(rng: random.Random) -> Realization:
+        a = _free(rng)
         b = vec3(0, 1, _rand_frac(rng))
-        cols = []
-        for _ in range(cfg.d):
-            t = _rand_frac(rng)
-            cols.append(vec3(*(x + t * y for x, y in zip(a, b))))
-        gamma = Realization(tuple(cols))
+        gamma = Realization(tuple(_on(a, b, _rand_frac(rng)) for _ in range(cfg.d)))
         if gamma.rank() != 2:
-            return None
+            raise FixtureError("the points do not span a line")
         for i, j in combinations(range(1, cfg.d + 1), 2):
             if cross(gamma.col(i), gamma.col(j)) == ZERO3:
-                return None
+                raise FixtureError(f"points {i},{j} coincide")
         return gamma
 
     return _retrying(attempt, seed)
@@ -581,9 +570,11 @@ def generic_q(gamma: Realization, seed: int, cfg: Config) -> Vec3:
     """A rational q in general position for cfg realized by gamma."""
     from .lifting import q_general_position
 
-    def make(rng: random.Random) -> Optional[Vec3]:
+    def make(rng: random.Random) -> Vec3:
         q = vec3(_rand_frac(rng), _rand_frac(rng), 1 + _rand_frac(rng))
-        return q if q_general_position(cfg, gamma, q) else None
+        if not q_general_position(cfg, gamma, q):
+            raise FixtureError("q is not in general position")
+        return q
 
     return _retrying(make, seed)
 

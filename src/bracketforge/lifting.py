@@ -47,7 +47,6 @@ from .linalg import (
     cross,
     det_exact,
     dot,
-    rank_vectors,
 )
 from .poly import BracketPoly, Q_COL, _select, bracket, const_col, symbolic_minor
 
@@ -404,12 +403,11 @@ def _lift_kernel(cfg: Config, gamma: Realization, q: Vec3) -> list[list[Fraction
     return _integer_kernel(rows, gamma._integer_view[1])
 
 
-def _lifted(gamma: Realization, z: Sequence[Fraction], q: Vec3) -> Realization:
-    """The columns gamma_i + z_i * q, one Fraction per coordinate: with
-    gamma_i = g_i / s_i (`_integer_view`), q = q' / s_q and z_i = a_i / b_i,
+def _lifted(gamma: Realization, z: Sequence[Fraction], q: Sequence[int], s_q: int) -> Realization:
+    """The columns gamma_i + z_i * q' / s_q, one Fraction per coordinate: with
+    gamma_i = g_i / s_i (`_integer_view`), the integer q' and z_i = a_i / b_i,
     coordinate k is (g_ik * b_i * s_q + a_i * q'_k * s_i) / (s_i * b_i * s_q)."""
     ints, mults = gamma._integer_view
-    (q,), (s_q,) = _integer_rows([q])
     cols = []
     for g, s, zi in zip(ints, mults, z):
         g_mult, q_mult = zi.denominator * s_q, zi.numerator * s
@@ -428,8 +426,9 @@ def construct_lifting(cfg: Config, gamma: Realization, q: Vec3) -> Optional[Real
     _check_lifting_input(cfg, gamma, q)
     if gamma.rank() > 2:
         raise LiftingError("construct_lifting expects a planar (rank <= 2) collection")
+    (q_int,), (s_q,) = _integer_rows([q])
     for z in _lift_kernel(cfg, gamma, q):
-        lifted = _lifted(gamma, z, q)
+        lifted = _lifted(gamma, z, q_int, s_q)
         if lifted.rank() == 3:
             ok, witness = in_circuit_variety(cfg, lifted)
             if not ok:
@@ -454,6 +453,7 @@ def trivial_lifting_dim(cfg: Config, gamma: Realization, q: Vec3) -> int:
     _check_lifting_input(cfg, gamma, q)
     if gamma.rank() > 2:
         raise LiftingError("trivial_lifting_dim expects a planar (rank <= 2) collection")
-    if rank_vectors(gamma.cols + (q,)) == 3:
+    (q_int,), _ = _integer_rows([q])
+    if _rank(gamma._integer_view[0] + (q_int,)) == 3:
         return 2
     return cfg.d - _lift_rank(cfg, gamma, q)

@@ -1,6 +1,6 @@
 import hashlib
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -23,6 +23,7 @@ from bracketforge.harness import (
     pappus8_family,
     pascal_family,
     pascal_family_sample,
+    qs_realization,
     random_cactus,
     replay_cactus_counterexample,
     xi_family,
@@ -61,9 +62,79 @@ def test_sampler_gives_up_at_the_retry_cap():
     with pytest.raises(FixtureError, match="retry cap"):
         collinear_realization(Config(1, []))  # one point never has rank 2
     draws = []
-    with pytest.raises(FixtureError, match="retry cap"):
-        _retrying(draws.append, seed=0)
+
+    def planted(rng):
+        draws.append(rng)
+        raise FixtureError("planted")
+
+    with pytest.raises(FixtureError, match="retry cap") as exc:
+        _retrying(planted, seed=0)
     assert len(draws) == RETRY_CAP
+    assert "planted" in str(exc.value)
+
+
+def test_sampler_does_not_retry_other_errors():
+    """Only FixtureError and the DegenerateLineError of meet_lines reject a
+    draw; any other exception is a fault in the sampler and propagates at
+    once."""
+    draws = []
+
+    def broken(rng):
+        draws.append(rng)
+        return 1 // 0
+
+    with pytest.raises(ZeroDivisionError):
+        _retrying(broken, seed=0)
+    assert len(draws) == 1
+
+    meets = []
+
+    def degenerate_once(rng):
+        meets.append(rng)
+        if len(meets) == 1:  # a dependent first pair: DegenerateLineError
+            return meet_lines(vec3(1, 0, 0), vec3(2, 0, 0), vec3(0, 1, 0), vec3(0, 0, 1))
+        return "accepted"
+
+    assert _retrying(degenerate_once, seed=0) == "accepted"
+    assert len(meets) == 2
+
+
+def _outcome(family, args) -> str:
+    try:
+        return family(*args).to_json()
+    except FixtureError as exc:
+        return f"FixtureError: {exc}"
+
+
+# The goldens below were recorded before the samplers shared one rejection
+# path (`_retrying`, `_realization`); every draw and error text is unchanged.
+
+
+def test_qs_realization_golden():
+    assert _sha256(qs_realization(s).to_json() for s in range(200)) == (
+        "d8311a06834be3c3f5fbb0ec37c544f5636e9cc73d25c09b6db4dea40c9051fb"
+    )
+
+
+# Parameter grid with zeros, repeats and opposite values, so both families
+# also reject: 2933 of the 3125 Pascal points and 186 of the 216 8-point ones.
+_GRID = (F(0), F(1), F(-1), F(2), F(1, 2))
+
+
+def test_pascal_family_golden_with_degenerate_parameters():
+    outcomes = [_outcome(pascal_family, a) for a in product(_GRID, repeat=5)]
+    assert sum(o.startswith("FixtureError") for o in outcomes) == 2933
+    assert _sha256(outcomes) == (
+        "01ff499d2344fdb6014ea9f9060ffa3b2da7dbfa2a95061714ced208a90e03f7"
+    )
+
+
+def test_pappus8_family_golden_with_degenerate_parameters():
+    outcomes = [_outcome(pappus8_family, a) for a in product(_GRID + (F(-2),), repeat=3)]
+    assert sum(o.startswith("FixtureError") for o in outcomes) == 186
+    assert _sha256(outcomes) == (
+        "eb94fc349cec5d2e6cf09775bf82118f28bc811d5c2f0544d73e86bd9c8f4576"
+    )
 
 
 def test_in_circuit_variety_vs_realization_space():
