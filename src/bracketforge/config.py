@@ -88,9 +88,6 @@ class Config:
             ):
                 raise ConfigError("no line may contain another")
 
-    def _parallel_rep_map(self) -> dict[int, int]:
-        return self._rep
-
     # -- basic queries -----------------------------------------------------
 
     @property
@@ -104,15 +101,24 @@ class Config:
     def is_simple(self) -> bool:
         return not self.loops and not self.parallel
 
+    @cached_property
+    def _incidence(self) -> dict[int, list[int]]:
+        """Each label 1..d -> the indices of the lines through it, in line order."""
+        through: dict[int, list[int]] = {p: [] for p in self.points}
+        for i, l in enumerate(self.lines):
+            for p in l:
+                through[p].append(i)
+        return through
+
     def lines_through(self, p: int) -> tuple[tuple[int, ...], ...]:
-        return tuple(l for l in self.lines if p in l)
+        return tuple(self.lines[i] for i in self._incidence.get(p, ()))
 
     def degree(self, p: int) -> int:
         if not 1 <= p <= self.d:
             raise ConfigError(f"point {p} outside ground set")
         if p in self.loops:
             raise ConfigError(f"point {p} is a loop and has no degree")
-        return len(self.lines_through(p))
+        return len(self._incidence[p])
 
     # -- dependencies ------------------------------------------------------
 
@@ -161,13 +167,12 @@ class Config:
     def dependency_signature(self) -> frozenset[frozenset[int]]:
         """All dependent subsets of size <= 3 (determines all dependencies)."""
         sig: set[frozenset[int]] = {frozenset({p}) for p in self.loops}
-        rep = self._parallel_rep_map()
+        rep = self._rep
         for p, q in combinations(self.nonloop_points, 2):
             if rep[p] == rep[q]:
                 sig.add(frozenset({p, q}))
-        for t in combinations(range(1, self.d + 1), 3):
-            if self.is_dependent_triple(t):
-                sig.add(frozenset(t))
+        bases = set(self.bases())
+        sig.update(frozenset(t) for t in combinations(self.points, 3) if t not in bases)
         return frozenset(sig)
 
     def _require_simple(self):
@@ -205,8 +210,7 @@ class Config:
 
     def simplification_labels(self) -> list[int]:
         """Non-loop parallel-class representatives, in label order."""
-        rep = self._parallel_rep_map()
-        return sorted({rep[p] for p in self.nonloop_points})
+        return sorted({self._rep[p] for p in self.nonloop_points})
 
     def to_json(self) -> str:
         return json.dumps(
@@ -287,10 +291,6 @@ class ChainReport:
     stages: tuple[tuple[int, ...], ...]
     verdict: str  # "nilpotent" / "solvable" / "neither"
 
-    @property
-    def terminates(self) -> bool:
-        return self.verdict != "neither"
-
 
 def _restriction_degrees(cfg: Config, present: set[int]) -> Counter[int]:
     """The degree of every point in the restriction of cfg to `present`, from
@@ -361,10 +361,7 @@ def admissible_ordering(cfg: Config) -> Optional[Ordering]:
     cfg._require_simple()
     present = set(cfg.points)
     degrees = _restriction_degrees(cfg, present)
-    through: defaultdict[int, list[int]] = defaultdict(list)
-    for i, l in enumerate(cfg.lines):
-        for p in l:
-            through[p].append(i)
+    through = cfg._incidence
     left = [len(l) for l in cfg.lines]  # present points on each line
     ready = [p for p in cfg.points if degrees[p] <= 1]  # sorted, so a heap
     peeled: list[tuple[int, int]] = []  # (point, weight at removal)

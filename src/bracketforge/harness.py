@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import combinations
 from math import gcd
 from typing import Callable, Iterable, Optional, TypeVar
@@ -95,7 +95,7 @@ def in_realization_space(cfg: Config, gamma: Realization):
     for p in cfg.nonloop_points:
         if not any(cols[p - 1]):
             return False, f"non-loop point {p} is the zero vector"
-    rep = cfg._parallel_rep_map()
+    rep = cfg._rep
     for a, b in combinations(cfg.nonloop_points, 2):
         if rep[a] != rep[b] and not any(cross(cols[a - 1], cols[b - 1])):
             return False, f"points {a},{b} coincide but are not parallel"
@@ -210,7 +210,9 @@ def pascal_family_sample(seed: int = 0) -> Realization:
 # deleting point 1 of the hexagon-with-meets configuration; after the
 # contiguous relabeling old -> old-1 used by Config.delete, column order by
 # new label 1..8 is old (2, 3, 4, 5, 6, 7, 8, 9).
+@cache
 def pappus8_cfg() -> Config:
+    """Built once: every pappus8_family sample checks its bases."""
     return preset("pascal").delete({1})
 
 

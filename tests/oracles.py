@@ -1,5 +1,6 @@
 """Reference implementations the tests check the package against."""
 
+from itertools import combinations
 from typing import Iterable
 
 from bracketforge.config import Config, _point_line_graph
@@ -28,3 +29,21 @@ def subset_has_cycle_dfs(cfg: Config, subset: Iterable[int]) -> bool:
                 seen.add(w)
                 stack.append((v, w, iter(adj[w])))
     return False
+
+
+def lines_through_scan(cfg: Config, p: int) -> tuple[tuple[int, ...], ...]:
+    """Reference for Config.lines_through: every line holding p, in line order."""
+    return tuple(l for l in cfg.lines if p in l)
+
+
+def dependency_signature_scan(cfg: Config) -> frozenset[frozenset[int]]:
+    """Reference for Config.dependency_signature: the loops, the pairs of one
+    parallel class, and every triple is_dependent_triple accepts."""
+    sig: set[frozenset[int]] = {frozenset({p}) for p in cfg.loops}
+    for p, q in combinations(cfg.nonloop_points, 2):
+        if cfg._rep[p] == cfg._rep[q]:
+            sig.add(frozenset({p, q}))
+    for t in combinations(range(1, cfg.d + 1), 3):
+        if cfg.is_dependent_triple(t):
+            sig.add(frozenset(t))
+    return frozenset(sig)

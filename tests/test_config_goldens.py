@@ -1,4 +1,5 @@
-"""Golden digests of what `config` derives, and the 3-circuits by brute force.
+"""Golden digests of what `config` derives, and its 3-circuits, incidence index
+and dependency signature against brute force.
 
 Each digest is the sha256 of the printed results over one fixed list of
 configurations: every fixed preset, line:5, cycle:4:4, random_cactus(0..19)
@@ -30,7 +31,7 @@ from bracketforge.harness import (
 )
 from bracketforge.linalg import cross
 
-from oracles import subset_has_cycle_dfs
+from oracles import dependency_signature_scan, lines_through_scan, subset_has_cycle_dfs
 
 
 def _configs():
@@ -105,7 +106,7 @@ def test_sub_configuration_golden(method):
 
 def test_circuits3_are_the_dependent_triples_without_loops_or_parallel_pairs():
     for name, cfg in CONFIGS + [("xi_limit_config()", xi_limit_config())]:
-        rep = cfg._parallel_rep_map()
+        rep = cfg._rep
         want = tuple(
             t
             for t in combinations(cfg.points, 3)
@@ -115,6 +116,19 @@ def test_circuits3_are_the_dependent_triples_without_loops_or_parallel_pairs():
         )
         assert cfg.circuits3() == want, name
         assert cfg.circuits3() is cfg.circuits3()
+
+
+def test_incidence_index_matches_the_line_scan():
+    for name, cfg in CONFIGS + [("xi_limit_config()", xi_limit_config())]:
+        for p in range(cfg.d + 2):
+            scan = lines_through_scan(cfg, p)
+            assert cfg.lines_through(p) == scan, (name, p)
+            if 1 <= p <= cfg.d and p not in cfg.loops:
+                assert cfg.degree(p) == len(scan), (name, p)
+            else:
+                with pytest.raises(ConfigError):
+                    cfg.degree(p)
+        assert cfg.dependency_signature() == dependency_signature_scan(cfg), name
 
 
 # The seeds in 0..4999 whose quadrilateral_set_flat sample used to hold two

@@ -279,7 +279,7 @@ def _ref_in_realization_space(cfg, gamma):
     for p in cfg.nonloop_points:
         if not any(gamma.col(p)):
             return False, f"non-loop point {p} is the zero vector"
-    rep = cfg._parallel_rep_map()
+    rep = cfg._rep
     for a, b in combinations(cfg.nonloop_points, 2):
         if rep[a] != rep[b] and cross(gamma.col(a), gamma.col(b)) == ZERO3:
             return False, f"points {a},{b} coincide but are not parallel"
