@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 
 from .config import Config
 from .linalg import det3
-from .poly import BracketPoly, LinearCombination, bracket, sort_sign
+from .poly import BracketPoly, LinearCombination, _sum_by_key, bracket, sort_sign
 
 # A bracket triple is stored sorted ascending; a combo monomial is a sorted
 # tuple of such triples.
@@ -81,25 +81,32 @@ class BracketCombo(LinearCombination):
     def eval(self, gamma) -> Fraction:
         """Exact value at gamma as sum c * prod det3, with no expansion.
 
-        The brackets are taken on gamma's integer columns, so a monomial is
-        the integer c.numerator * prod det3 over the key c.denominator * prod
-        of its bracket columns' multipliers.  Numerators are summed per key,
-        and each key divides once: a multihomogeneous combination has one
-        key.  Each distinct bracket triple is computed once per call.
+        Reads gamma's integer view once: a monomial is the integer
+        c.numerator * prod det3 of its brackets' integer columns over the key
+        c.denominator * prod of those columns' multipliers.  Each distinct
+        bracket triple is computed once per call.  Numerators are summed per
+        key; a multihomogeneous combination has one key, so its value is one
+        Fraction(num, key), and several keys are summed.  The zero
+        combination is Fraction(0).
         """
+        ints, mults = gamma._integer_view
+        d = gamma.d
         dets: dict = {}
         sums: dict = {}
-        for m, c in self.terms.items():
-            num, key = c.numerator, c.denominator
+        for m, k in self.terms.items():
+            num, key = k.numerator, k.denominator
             for t in m:
                 v = dets.get(t)
                 if v is None:
-                    (x, lx), (y, ly), (z, lz) = (gamma._int_col(p) for p in t)
-                    v = dets[t] = (det3(x, y, z), lx * ly * lz)
+                    a, b, c = t  # sorted, so a and c bound the labels
+                    if a < 1 or c > d:
+                        raise IndexError(f"label {a if a < 1 else c} out of range 1..{d}")
+                    a, b, c = a - 1, b - 1, c - 1
+                    v = dets[t] = (det3(ints[a], ints[b], ints[c]), mults[a] * mults[b] * mults[c])
                 num *= v[0]
                 key *= v[1]
             sums[key] = sums.get(key, 0) + num
-        return sum((Fraction(n, k) for k, n in sums.items()), Fraction(0))
+        return _sum_by_key(sums)
 
 
 _TOKEN = re.compile(r"\s*(?:\[([^\]]*)\]|(\d+(?:/\d+)?)|([-+*]))")

@@ -100,7 +100,8 @@ def in_realization_space(cfg: Config, gamma: Realization):
         if rep[a] != rep[b] and not any(cross(cols[a - 1], cols[b - 1])):
             return False, f"points {a},{b} coincide but are not parallel"
     for t in cfg.bases():
-        if det3(*(cols[p - 1] for p in t)) == 0:
+        a, b, c = t
+        if det3(cols[a - 1], cols[b - 1], cols[c - 1]) == 0:
             return False, f"basis {set(t)} is dependent"
     return True, None
 

@@ -14,7 +14,8 @@ its circuits and printed shorthand cost no expansion.  Verdicts build its
 value at gamma directly, in the same layout, with no polynomial.  A descriptor
 minor has its own q per column and builds the selected Fraction rows from
 cross products, [u v q] = dot(cross(gamma_u, gamma_v), q).  The single-q
-verdicts (lifting dimensions, liftings) build the whole matrix on the
+verdicts (lifting dimensions, liftings) clear q and take cross(g_v, q) for
+every integer column g_v once, and build the whole matrix on the
 realization's integer columns and the integer form of q; it differs from the
 Fraction matrix only by positive row scalings and one positive scaling per
 column, which keep the rank and scale each kernel vector back exactly.  Each
@@ -319,6 +320,15 @@ def eval_descriptor(
 # Lifting dimensions
 
 
+def _clear_q(gamma: Realization, q: Vec3) -> tuple[tuple[int, ...], int, list[Vec3]]:
+    """(q', s_q, by_q): q' = s_q * q is q with its denominators cleared, and
+    by_q[v - 1] = cross(g_v, q') for every integer column g_v of gamma
+    (`_integer_view`).  A single-q verdict takes these once and shares them
+    between its general-position check and its liftability rows."""
+    (q_int,), (s_q,) = _integer_rows([q])
+    return q_int, s_q, [cross(v, q_int) for v in gamma._integer_view[0]]
+
+
 def q_general_position(cfg: Config, gamma: Realization, q: Vec3) -> bool:
     """q outside every realized line and every point span.
 
@@ -328,11 +338,15 @@ def q_general_position(cfg: Config, gamma: Realization, q: Vec3) -> bool:
     cross(g, q') is taken once per point, and cross(a, b) only for a pair
     whose determinant is 0.
     """
+    q_int, _, by_q = _clear_q(gamma, q)
+    return _general_position(cfg, gamma, q_int, by_q)
+
+
+def _general_position(cfg: Config, gamma: Realization, q: Sequence[int], by_q) -> bool:
+    """q_general_position on the integer q' and by_q of `_clear_q`."""
     if not any(q):
         return False
     cols = gamma._integer_view[0]
-    (q,), _ = _integer_rows([q])
-    by_q = [cross(v, q) for v in cols]
     for p in cfg.nonloop_points:
         if any(cols[p - 1]) and not any(by_q[p - 1]):
             return False
@@ -343,19 +357,24 @@ def q_general_position(cfg: Config, gamma: Realization, q: Vec3) -> bool:
     return True
 
 
-def _check_lifting_input(cfg: Config, gamma: Realization, q: Vec3) -> None:
+def _check_lifting_input(cfg: Config, gamma: Realization, q: Vec3):
+    """Raise LiftingError unless the verdict applies; return q cleared by
+    `_clear_q`."""
     cfg._require_simple()
     if gamma.d != cfg.d:
         raise LiftingError("realization size does not match configuration")
     ok, witness = in_circuit_variety(cfg, gamma)
     if not ok:
         raise LiftingError(f"realization violates a circuit of the configuration: {witness}")
-    if not q_general_position(cfg, gamma, q):
+    q_int, s_q, by_q = _clear_q(gamma, q)
+    if not _general_position(cfg, gamma, q_int, by_q):
         raise LiftingError("q is not in general position for this realization")
+    return q_int, s_q, by_q
 
 
-def _integer_lift_rows(cfg: Config, gamma: Realization, q: Vec3) -> list[list[int]]:
-    """The liftability matrix at gamma with q in every column, on integers.
+def _integer_lift_rows(cfg: Config, gamma: Realization, by_q) -> list[list[int]]:
+    """The liftability matrix at gamma with q in every column, on integers,
+    from the crosses by_q of `_clear_q`.
 
     With the integer columns g_c = s_c * gamma_c (`_integer_view`) and the
     integer q' = s_q * q, entry (circuit, c) is the signed bracket [u v q'] =
@@ -364,9 +383,7 @@ def _integer_lift_rows(cfg: Config, gamma: Realization, q: Vec3) -> list[list[in
     D_r the product of s_c over each row's circuit: the rank and the pivot
     columns are M's.
     """
-    cols, _ = gamma._integer_view
-    (q,), _ = _integer_rows([q])
-    by_q = [cross(v, q) for v in cols]
+    cols = gamma._integer_view[0]
     rows = []
     for entries in _circuit_rows(cfg):
         row = [0] * cfg.d
@@ -377,20 +394,16 @@ def _integer_lift_rows(cfg: Config, gamma: Realization, q: Vec3) -> list[list[in
     return rows
 
 
-def _lift_rank(cfg: Config, gamma: Realization, q: Vec3) -> int:
-    return _rank(_integer_lift_rows(cfg, gamma, q))
-
-
 def lift_dim(cfg: Config, gamma: Realization, q: Vec3) -> int:
-    _check_lifting_input(cfg, gamma, q)
-    return cfg.d - _lift_rank(cfg, gamma, q)
+    _, _, by_q = _check_lifting_input(cfg, gamma, q)
+    return cfg.d - _rank(_integer_lift_rows(cfg, gamma, by_q))
 
 
 # ---------------------------------------------------------------------------
 # Constructing liftings
 
 
-def _lift_kernel(cfg: Config, gamma: Realization, q: Vec3) -> list[list[Fraction]]:
+def _lift_kernel(cfg: Config, gamma: Realization, by_q) -> list[list[Fraction]]:
     """The kernel basis of the liftability matrix at gamma, as `kernel_basis`
     gives it for the Fraction rows.
 
@@ -399,7 +412,7 @@ def _lift_kernel(cfg: Config, gamma: Realization, q: Vec3) -> list[list[Fraction
     integer rows with column c times s_c.  With no 3-circuit there is no row,
     and every vector is in the kernel.
     """
-    rows = _integer_lift_rows(cfg, gamma, q) or [[0] * cfg.d]
+    rows = _integer_lift_rows(cfg, gamma, by_q) or [[0] * cfg.d]
     return _integer_kernel(rows, gamma._integer_view[1])
 
 
@@ -423,11 +436,10 @@ def construct_lifting(cfg: Config, gamma: Realization, q: Vec3) -> Optional[Real
     liftability matrix whose lifting has rank 3, or None when every kernel
     vector lifts within a plane.
     """
-    _check_lifting_input(cfg, gamma, q)
+    q_int, s_q, by_q = _check_lifting_input(cfg, gamma, q)
     if gamma.rank() > 2:
         raise LiftingError("construct_lifting expects a planar (rank <= 2) collection")
-    (q_int,), (s_q,) = _integer_rows([q])
-    for z in _lift_kernel(cfg, gamma, q):
+    for z in _lift_kernel(cfg, gamma, by_q):
         lifted = _lifted(gamma, z, q_int, s_q)
         if lifted.rank() == 3:
             ok, witness = in_circuit_variety(cfg, lifted)
@@ -450,10 +462,9 @@ def trivial_lifting_dim(cfg: Config, gamma: Realization, q: Vec3) -> int:
     dimension is rank(gamma) = 2.  Otherwise every lifting stays inside
     span(gamma, q), and the whole kernel counts.
     """
-    _check_lifting_input(cfg, gamma, q)
+    q_int, _, by_q = _check_lifting_input(cfg, gamma, q)
     if gamma.rank() > 2:
         raise LiftingError("trivial_lifting_dim expects a planar (rank <= 2) collection")
-    (q_int,), _ = _integer_rows([q])
     if _rank(gamma._integer_view[0] + (q_int,)) == 3:
         return 2
-    return cfg.d - _lift_rank(cfg, gamma, q)
+    return cfg.d - _rank(_integer_lift_rows(cfg, gamma, by_q))

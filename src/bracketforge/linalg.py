@@ -1,19 +1,23 @@
 """Exact rational linear algebra over Q^3.
 
 There are no tolerances anywhere. Vectors are 3-tuples of Fraction; the
-vector helpers (cross, dot, det3) work on int 3-tuples as well. Matrices are
-lists of row lists with int or Fraction entries. Rank, RREF, kernels and
-determinants clear each row's denominators and then eliminate on integer rows,
-fraction-free, so only their outputs are Fractions, and those are exact. Rank,
+vector helpers (cross, dot, det3) work on int 3-tuples as well, and det3 is
+the closed-form triple product, one call with the same arithmetic on ints and
+Fractions. Matrices are lists of row lists with int or Fraction entries.
+Rank, RREF, kernels and determinants clear each row's denominators and then
+eliminate on integer rows, fraction-free, so only their outputs are
+Fractions, and those are exact. Rank,
 RREF and kernels keep every row primitive and change only the rows with a
 nonzero in the pivot column, so a sparse matrix such as a liftability matrix
 (three nonzeros per row) costs little and no entry grows past the Bareiss
 entry; rank eliminates the shorter side.  det_exact stays Bareiss: exact
 division by the previous pivot leaves the determinant as the last pivot.
-A Realization clears its columns' denominators once, on first use, and
-the membership checks and the bracket and polynomial evaluators read those
-integer columns: a value is an integer sum divided once by the product of the
-column multipliers it involves.
+A Realization clears its columns' denominators once, on first use
+(`_integer_view`, the integer columns and their multipliers), and the
+membership checks and the bracket and polynomial evaluators read that view.
+The evaluators read it once per call, index its columns by label and check
+the label range themselves: a value is an integer sum divided once by the
+product of the column multipliers it involves.
 """
 
 from __future__ import annotations
@@ -69,8 +73,12 @@ def dot(u: Vec3, v: Vec3) -> Fraction:
 
 
 def det3(u: Vec3, v: Vec3, w: Vec3) -> Fraction:
-    """Determinant of the 3x3 matrix with columns u, v, w."""
-    return dot(u, cross(v, w))
+    """Determinant of the 3x3 matrix with columns u, v, w: dot(u, cross(v, w))
+    in closed form."""
+    u0, u1, u2 = u
+    v0, v1, v2 = v
+    w0, w1, w2 = w
+    return u0 * (v1 * w2 - v2 * w1) + u1 * (v2 * w0 - v0 * w2) + u2 * (v0 * w1 - v1 * w0)
 
 
 def is_zero(u: Vec3) -> bool:
@@ -292,13 +300,6 @@ class Realization:
         zero pattern and the sign of every cross product and determinant."""
         ints, mults = _integer_rows(self.cols)
         return tuple(map(tuple, ints)), tuple(mults)
-
-    def _int_col(self, label: int) -> tuple[tuple[int, ...], int]:
-        """col(label) as (integer vector, multiplier); see _integer_view."""
-        if not 1 <= label <= self.d:
-            raise IndexError(f"label {label} out of range 1..{self.d}")
-        ints, mults = self._integer_view
-        return ints[label - 1], mults[label - 1]
 
     def restrict(self, labels: Sequence[int]) -> "Realization":
         return Realization(tuple(self.col(i) for i in labels))

@@ -180,6 +180,16 @@ class LinearCombination:
         return f"{type(self).__name__}({self.to_text()})"
 
 
+def _sum_by_key(sums: dict) -> Fraction:
+    """The sum of num / key over the integer numerators `sums` holds per
+    positive integer key: one Fraction when there is one key, Fraction(0)
+    when there is none."""
+    if len(sums) == 1:
+        [(key, num)] = sums.items()
+        return Fraction(num, key)
+    return sum((Fraction(n, k) for k, n in sums.items()), Fraction(0))
+
+
 class BracketPoly(LinearCombination):
     """Polynomial in the matrix entries; terms ordered graded-lex."""
 
@@ -225,16 +235,19 @@ class BracketPoly(LinearCombination):
     def eval(self, gamma: Realization, q: Optional[Vec3] = None) -> Fraction:
         """Exact value at gamma (and q), on integer columns.
 
-        A variable reads its entry of gamma's integer column, or of q with
-        q's denominators cleared, together with that vector's multiplier.  A
-        monomial is the integer c.numerator * prod entry^e over the key
-        c.denominator * prod multiplier^e; numerators are summed per key and
-        each key divides once.
+        Reads gamma's integer view once.  A variable reads its entry of
+        gamma's integer column, or of q with q's denominators cleared,
+        together with that vector's multiplier.  A monomial is the integer
+        c.numerator * prod entry^e over the key c.denominator * prod
+        multiplier^e; numerators are summed per key and each key divides
+        once, so a single key gives a single Fraction.
         """
         if q is None and self.mentions_q():
             raise ValueError("polynomial mentions q but no q value given")
         if q is not None:
             (q_ints,), (q_mult,) = _integer_rows([q])
+        ints, mults = gamma._integer_view
+        d = gamma.d
         values: dict = {}
         sums: dict = {}
         for m, c in self.terms.items():
@@ -243,14 +256,16 @@ class BracketPoly(LinearCombination):
                 val = values.get(v)
                 if val is None:
                     if v[0] == "x":
-                        ints, mult = gamma._int_col(v[1])
-                        val = values[v] = (ints[v[2]], mult)
+                        label = v[1]
+                        if not 1 <= label <= d:
+                            raise IndexError(f"label {label} out of range 1..{d}")
+                        val = values[v] = (ints[label - 1][v[2]], mults[label - 1])
                     else:
                         val = values[v] = (q_ints[v[1]], q_mult)
                 num *= val[0] ** e
                 key *= val[1] ** e
             sums[key] = sums.get(key, 0) + num
-        return sum((Fraction(n, k) for k, n in sums.items()), Fraction(0))
+        return _sum_by_key(sums)
 
 
 # ---------------------------------------------------------------------------

@@ -323,6 +323,12 @@ def _assert_matches_fraction_eval(combos, gamma):
         assert value == _fraction_eval(c, gamma, dets), c.to_text()
 
 
+def _shuffled(gamma, seed):
+    cols = list(gamma.cols)
+    random.Random(seed).shuffle(cols)
+    return Realization(tuple(cols))
+
+
 @pytest.fixture(scope="module")
 def cactus_orbit():
     from bracketforge.ideals import cactus_generators
@@ -343,9 +349,7 @@ def test_eval_matches_fraction_eval_on_cactus_orbit(cactus_orbit, seed):
     gamma = cactus_realization(cfg, seed)
     assert all(c.eval(gamma) == 0 for c in orbit)
     _assert_matches_fraction_eval(orbit, gamma)
-    cols = list(gamma.cols)
-    random.Random(seed).shuffle(cols)
-    permuted = Realization(tuple(cols))
+    permuted = _shuffled(gamma, seed)
     assert sum(c.eval(permuted) != 0 for c in orbit) > len(orbit) // 2
     _assert_matches_fraction_eval(orbit, permuted)
 
@@ -376,3 +380,66 @@ def test_eval_rejects_labels_outside_the_realization(text, label):
     gamma = rand_realization(random.Random(1), 6)
     with pytest.raises(IndexError, match=f"label {label} out of range 1..6"):
         parse_bracket_text(text).eval(gamma)
+
+
+def _sha256(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+# Recorded with the evaluator that read one column at a time through the
+# realization: sha256 of str(c.eval(g)), one line per (realization, generator),
+# at the sampled realizations and at a column-shuffled copy of each (where
+# most values are nonzero).
+EVAL_GOLDEN = {
+    "orbit": "0f09af1bab158bb3df5314046b68b2a3da6672900ad6022847f6fc390a2ab237",
+    "orbit-shuffled": "59af3d68f0f99d9e5e15f52ff8e7120bb89b76d1d57c125a8f27374e3c636484",
+    "fixtures": "b05f78fc7c0101b6b8ffc30f0de71dd8e62a0e81391a0d58595ce9b47d169833",
+    "fixtures-shuffled": "205c7d9b6571c0ff1433f1e8e443817266a64b34d6794173b77ab947364db4e4",
+}
+
+
+def test_eval_golden_on_cactus_orbit(cactus_orbit):
+    """Every depth-2 generator of random_cactus(0) at cactus_realization(cfg, s),
+    s in 0..2."""
+    from bracketforge.harness import cactus_realization
+
+    cfg, orbit = cactus_orbit
+    gammas = [cactus_realization(cfg, s) for s in range(3)]
+    assert _sha256(str(c.eval(g)) for g in gammas for c in orbit) == EVAL_GOLDEN["orbit"]
+    shuffled = [_shuffled(g, s) for s, g in enumerate(gammas)]
+    assert _sha256(str(c.eval(g)) for g in shuffled for c in orbit) == (
+        EVAL_GOLDEN["orbit-shuffled"])
+
+
+def test_eval_golden_on_fixtures():
+    """The circuit generators of every fixture, and the published GC
+    generators of Pascal and Pappus, at fixture.samples(2, seed=0)."""
+    from bracketforge.harness import fixtures
+    from bracketforge.ideals import circuit_generators, gc_generators_preset
+
+    at_samples, at_shuffled = [], []
+    for fx in fixtures():
+        gens = circuit_generators(fx.cfg)
+        if fx.name in ("pascal", "pappus"):
+            gens = gens + gc_generators_preset(fx.name)
+        for s, g in enumerate(fx.samples(2, seed=0)):
+            at_samples += [str(c.eval(g)) for c in gens]
+            at_shuffled += [str(c.eval(_shuffled(g, s))) for c in gens]
+    assert len(at_samples) == 84 and sum(v != "0" for v in at_shuffled) == 82
+    assert _sha256(at_samples) == EVAL_GOLDEN["fixtures"]
+    assert _sha256(at_shuffled) == EVAL_GOLDEN["fixtures-shuffled"]
+
+
+def test_eval_sums_several_keys_and_the_zero_combination():
+    """A combination whose monomials have different keys is summed over its
+    keys; the zero combination is Fraction(0)."""
+    gamma = Realization((vec3(1, 2, 3), vec3(F(1, 2), 0, 1), vec3(0, F(1, 3), 1),
+                         vec3(F(2, 5), 1, F(1, 7)), vec3(1, F(3, 4), 0), vec3(F(1, 11), 1, 1)))
+    assert len(set(gamma._integer_view[1])) == gamma.d  # distinct multipliers
+    several = parse_bracket_text("[1 2 3] + [1 2 4][4 5 6]")
+    for combo in (several, BracketCombo.zero()):
+        value = combo.eval(gamma)
+        assert type(value) is F
+        assert value == _fraction_eval(combo, gamma, {})
+    assert several.eval(gamma) != 0
+    assert BracketCombo.zero().eval(gamma) == 0

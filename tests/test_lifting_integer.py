@@ -25,6 +25,7 @@ from bracketforge.harness import (
     random_cactus,
 )
 from bracketforge.lifting import (
+    _clear_q,
     _integer_lift_rows,
     _numeric_rows,
     construct_lifting,
@@ -175,7 +176,7 @@ def test_integer_rows_are_scaled_fraction_rows(name):
     """Entry (circuit, c) of the integer rows is s_q * (prod of the column
     multipliers over the circuit) / s_c times the Fraction entry."""
     for cfg, gamma, q in INPUT_SETS[name]():
-        ints = _integer_lift_rows(cfg, gamma, q)
+        ints = _integer_lift_rows(cfg, gamma, _clear_q(gamma, q)[2])
         fracs = oracle_rows(cfg, gamma, q)
         _, s = gamma._integer_view
         _, (s_q,) = _integer_rows([q])

@@ -355,6 +355,3 @@ def test_realization_integer_view(cols):
         assert m > 0 and all(type(x) is int for x in v)
         assert tuple(F(x, m) for x in v) == c
     assert gamma.rank() == rank_vectors(gamma.cols)
-    for label in (0, len(cols) + 1):
-        with pytest.raises(IndexError, match=f"label {label} out of range"):
-            gamma._int_col(label)
