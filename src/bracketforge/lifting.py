@@ -15,14 +15,19 @@ value at gamma directly, in the same layout, with no polynomial.  A descriptor
 minor has its own q per column and builds the selected Fraction rows from
 cross products, [u v q] = dot(cross(gamma_u, gamma_v), q).  The single-q
 verdicts (lifting dimensions, liftings) clear q and take cross(g_v, q) for
-every integer column g_v once, and build the whole matrix on the
-realization's integer columns and the integer form of q; it differs from the
-Fraction matrix only by positive row scalings and one positive scaling per
-column, which keep the rank and scale each kernel vector back exactly.  Each
-row has three nonzeros, and the elimination (`linalg._eliminate`) updates only
-the rows with a nonzero in the pivot column, keeping each row primitive.  A
-lifting's columns gamma_i + z_i q are built from the same integer columns,
-one Fraction per coordinate.
+every integer column g_v once, and build the matrix on the realization's
+integer columns and the integer form of q; its rows differ from Fraction
+rows only by positive row scalings and one positive scaling per column, which
+keep the rank and scale each kernel vector back exactly.  Of the C(k, 3) rows
+of a k-point line they build only the k - 2 frame rows, the circuits
+{a, b, c} of one independent pair (a, b): once the input is checked (every
+circuit vanishes, q in general position), the Grassmann-Pluecker relation
+puts the line's other rows in their span, so the rank, the RREF and the
+kernel are the whole matrix's.  Each row has three nonzeros; the rank sets
+aside the rows that own a column (`linalg._rank`), and the elimination
+(`linalg._eliminate`) updates only the rows with a nonzero in the pivot
+column, keeping each row primitive.  A lifting's columns gamma_i + z_i q are
+built from the same integer columns, one Fraction per coordinate.
 """
 
 from __future__ import annotations
@@ -373,24 +378,48 @@ def _check_lifting_input(cfg: Config, gamma: Realization, q: Vec3):
 
 
 def _integer_lift_rows(cfg: Config, gamma: Realization, by_q) -> list[list[int]]:
-    """The liftability matrix at gamma with q in every column, on integers,
-    from the crosses by_q of `_clear_q`.
+    """The frame rows of the liftability matrix at gamma with q in every
+    column, on integers, from the crosses by_q of `_clear_q`.
 
     With the integer columns g_c = s_c * gamma_c (`_integer_view`) and the
     integer q' = s_q * q, entry (circuit, c) is the signed bracket [u v q'] =
-    dot(g_u, cross(g_v, q')) of the `_numeric_rows` layout.  So these rows
-    are s_q * D_r * M * D_c^-1, M being the Fraction rows, D_c = diag(s_c) and
-    D_r the product of s_c over each row's circuit: the rank and the pivot
-    columns are M's.
+    dot(g_u, cross(g_v, q')) of the `_numeric_rows` layout, so a row is the
+    Fraction row of its circuit times s_q and the s_c over the circuit, with
+    column c divided by s_c.
+
+    Per line L, (a, b) is its first pair in `combinations` order with
+    [a b q'] != 0, and the rows are those of the circuits {a, b, c}, c any
+    other point of L: [b c q'], [c a q'], [a b q'] in columns a, b, c, negated
+    when a < c < b to match the layout's sorted circuit.  These k_L - 2 rows
+    span all C(k_L, 3) rows of L, given what `_check_lifting_input` has
+    established: every circuit of L vanishes, so L's points lie in
+    span(g_a, g_b), and q is in general position, so [a b q'] != 0 exactly
+    when g_a and g_b are independent.  By the Grassmann-Pluecker relation
+    [y z q] gamma_x - [x z q] gamma_y + [x y q] gamma_z = [x y z] q = 0
+    for a circuit {x < y < z} of L, every row of L vanishes on both
+    coordinate vectors of L's points in the basis (g_a, g_b): L's rows span
+    at most k_L - 2 dimensions, and the frame rows, each the only one
+    nonzero in its column c, are k_L - 2 independent rows.  So the rank, the
+    RREF and the kernel are the whole matrix's.  A line with no independent
+    pair has only zero rows and builds none.
     """
     cols = gamma._integer_view[0]
     rows = []
-    for entries in _circuit_rows(cfg):
-        row = [0] * cfg.d
-        for col, (u, v), sign in entries:
-            value = dot(cols[u - 1], by_q[v - 1])
-            row[col - 1] = value if sign > 0 else -value
-        rows.append(row)
+    for line in cfg.lines:
+        for a, b in combinations(line, 2):
+            ab = dot(cols[a - 1], by_q[b - 1])
+            if ab:
+                break
+        else:
+            continue
+        for c in line:
+            if c != a and c != b:
+                sign = -1 if a < c < b else 1
+                row = [0] * cfg.d
+                row[a - 1] = sign * dot(cols[b - 1], by_q[c - 1])
+                row[b - 1] = sign * dot(cols[c - 1], by_q[a - 1])
+                row[c - 1] = sign * ab
+                rows.append(row)
     return rows
 
 
@@ -407,10 +436,10 @@ def _lift_kernel(cfg: Config, gamma: Realization, by_q) -> list[list[Fraction]]:
     """The kernel basis of the liftability matrix at gamma, as `kernel_basis`
     gives it for the Fraction rows.
 
-    The integer rows are the Fraction rows scaled by positive row factors and
-    with column c divided by s_c, so the Fraction kernel is that of the
-    integer rows with column c times s_c.  With no 3-circuit there is no row,
-    and every vector is in the kernel.
+    The integer rows span the Fraction rows scaled by positive row factors
+    and with column c divided by s_c, so the Fraction kernel is that of the
+    integer rows with column c times s_c.  With no frame row (no 3-circuit,
+    or only lines with no independent pair) every vector is in the kernel.
     """
     rows = _integer_lift_rows(cfg, gamma, by_q) or [[0] * cfg.d]
     return _integer_kernel(rows, gamma._integer_view[1])

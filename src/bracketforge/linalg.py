@@ -10,8 +10,11 @@ Fractions, and those are exact. Rank,
 RREF and kernels keep every row primitive and change only the rows with a
 nonzero in the pivot column, so a sparse matrix such as a liftability matrix
 (three nonzeros per row) costs little and no entry grows past the Bareiss
-entry; rank eliminates the shorter side.  det_exact stays Bareiss: exact
-division by the previous pivot leaves the determinant as the last pivot.
+entry.  Rank first peels: a row that is the only nonzero of some column is
+independent of the rest, adds 1 and is set aside, which may leave another
+column with one nonzero; only the rows left are eliminated, on the shorter
+side.  det_exact stays Bareiss: exact division by the previous pivot
+leaves the determinant as the last pivot.
 A Realization clears its columns' denominators once, on first use
 (`_integer_view`, the integer columns and their multipliers), and the
 membership checks and the bracket and polynomial evaluators read that view.
@@ -186,11 +189,43 @@ def _eliminate(a: list[list[int]], reduce: bool) -> list[int]:
 
 
 def _rank(a: Sequence[Sequence[int]]) -> int:
-    """Rank of the integer rows a, which are left as they are.  Eliminates
-    the shorter side: the transpose when there are more rows than columns."""
-    if a and len(a) > len(a[0]):
-        a = list(zip(*a))
-    return len(_eliminate(list(a), reduce=False))
+    """Rank of the integer rows a, which are left as they are.
+
+    First peels: a row that is the only nonzero of some column is
+    independent of the other rows, so it adds 1 to the rank and is set
+    aside, which may leave another column with one nonzero.  Each column
+    keeps its count of nonzeros in the rows not set aside and the sum of
+    those rows' indices, which is the row's index once the count is 1.
+    Then eliminates the nonzero rows left on the shorter side: the
+    transpose when there are more rows than columns.
+    """
+    cols = list(zip(*a))
+    count = [len(a) - col.count(0) for col in cols]
+    peeled = 0
+    if 1 in count:
+        support = [[c for c, x in enumerate(row) if x] for row in a]
+        index_sum = [0] * len(count)
+        for i, cs in enumerate(support):
+            for c in cs:
+                index_sum[c] += i
+        ready = [c for c, k in enumerate(count) if k == 1]
+        while ready:
+            c = ready.pop()
+            if count[c] != 1:
+                continue  # its row was set aside for another column
+            i = index_sum[c]
+            cs, support[i] = support[i], ()
+            peeled += 1
+            for c in cs:
+                count[c] -= 1
+                index_sum[c] -= i
+                if count[c] == 1:
+                    ready.append(c)
+        a = [row for row, cs in zip(a, support) if cs]
+        cols = list(zip(*a))
+    if len(a) > len(cols):
+        a = cols
+    return peeled + len(_eliminate(list(a), reduce=False))
 
 
 def rref(m: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:

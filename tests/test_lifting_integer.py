@@ -19,12 +19,15 @@ import pytest
 from bracketforge import lifting
 from bracketforge.config import Config, preset
 from bracketforge.harness import (
+    cactus_realization,
     collinear_realization,
     generic_q,
+    pappus_realization,
     quadrilateral_set_flat,
     random_cactus,
 )
 from bracketforge.lifting import (
+    LiftingError,
     _clear_q,
     _integer_lift_rows,
     _numeric_rows,
@@ -36,6 +39,7 @@ from bracketforge.lifting import (
 from bracketforge.linalg import (
     Realization,
     _integer_rows,
+    _rank,
     cross,
     dot,
     kernel_basis,
@@ -171,20 +175,41 @@ def test_verdicts_match_fraction_oracle(name):
         assert lifted > 0  # the liftings compare columns, not only None
 
 
+def has_independent_pair(gamma, line) -> bool:
+    return any(any(cross(gamma.col(a), gamma.col(b))) for a, b in combinations(line, 2))
+
+
+def check_integer_rows(cfg, gamma, q):
+    """Each integer row is the Fraction row of a 3-circuit with entry c
+    scaled by s_q * (prod of the column multipliers over the circuit) / s_c.
+    The rows are those of k_L - 2 circuits per line L with an independent
+    pair, and have the rank of the whole Fraction matrix."""
+    ints = _integer_lift_rows(cfg, gamma, _clear_q(gamma, q)[2])
+    fracs = oracle_rows(cfg, gamma, q)
+    _, s = gamma._integer_view
+    _, (s_q,) = _integer_rows([q])
+    assert len(fracs) == len(cfg.circuits3())
+    used = []
+    for row in ints:
+        assert all(type(x) is int for x in row)
+        matches = [
+            circuit for circuit, frac_row in zip(cfg.circuits3(), fracs)
+            if row == [s_q * math.prod(s[k - 1] for k in circuit) * x / s[c]
+                       for c, x in enumerate(frac_row)]
+        ]
+        assert matches, row
+        used.append(matches[0])
+    assert len(set(used)) == len(ints)
+    independent = [l for l in cfg.lines if has_independent_pair(gamma, l)]
+    assert len(ints) == sum(len(l) - 2 for l in independent)
+    assert _rank(ints) == len(fraction_rref(fracs)[1]) if fracs else not ints
+    return independent
+
+
 @pytest.mark.parametrize("name", INPUT_SETS)
 def test_integer_rows_are_scaled_fraction_rows(name):
-    """Entry (circuit, c) of the integer rows is s_q * (prod of the column
-    multipliers over the circuit) / s_c times the Fraction entry."""
     for cfg, gamma, q in INPUT_SETS[name]():
-        ints = _integer_lift_rows(cfg, gamma, _clear_q(gamma, q)[2])
-        fracs = oracle_rows(cfg, gamma, q)
-        _, s = gamma._integer_view
-        _, (s_q,) = _integer_rows([q])
-        assert len(ints) == len(fracs) == len(cfg.circuits3())
-        for row, frac_row, circuit in zip(ints, fracs, cfg.circuits3()):
-            assert all(type(x) is int for x in row)
-            s_r = math.prod(s[k - 1] for k in circuit)
-            assert row == [s_q * s_r * x / s[c] for c, x in enumerate(frac_row)]
+        check_integer_rows(cfg, gamma, q)
 
 
 # Recorded with the Fraction rows: sha256 of the printed verdicts over the
@@ -212,6 +237,60 @@ def test_verdicts_never_build_fraction_rows(monkeypatch):
         assert lift_dim(cfg, gamma, q) >= 0
         assert trivial_lifting_dim(cfg, gamma, q) >= 0
         construct_lifting(cfg, gamma, q)
+
+
+def coincide(gamma: Realization, points, onto: int, scales) -> Realization:
+    """gamma with each of `points` moved onto the span of point `onto`, as
+    that column times the matching scale (0 gives the zero vector)."""
+    cols = list(gamma.cols)
+    for p, t in zip(points, scales):
+        cols[p - 1] = tuple(t * x for x in cols[onto - 1])
+    return Realization(tuple(cols))
+
+
+def frame_inputs() -> dict:
+    """Inputs beyond generic collinear points: rank-3 realizations in the
+    circuit variety, lines of >= 4 points whose first pair coincides (so
+    the frame is another pair), and lines whose points all coincide (so
+    they have no frame)."""
+    cactus0, c44, line6 = random_cactus(0), preset("cycle:4:4"), preset("line:6")
+    rank3 = [(preset("pappus"), pappus_realization(s)) for s in range(3)]
+    rank3 += [(random_cactus(s), cactus_realization(random_cactus(s), s)) for s in range(4)]
+    # point 9 lies on line (4, 9, 10, 11, 12) alone, so it may join point 4
+    rank3 += [(cactus0, coincide(cactus_realization(cactus0, s), [9], 4, [F(-2, 3)]))
+              for s in range(2)]
+    first_pair = [(line6, coincide(collinear_realization(line6, 1), [2], 1, [F(5, 2)])),
+                  (c44, coincide(collinear_realization(c44, 2), [2], 1, [-3])),
+                  (cactus0, coincide(collinear_realization(cactus0, 3), [9], 4, [F(1, 7)])),
+                  # a zero point depends on every point: the frame of (1, 2, 5, 6) is (2, 5)
+                  (c44, coincide(collinear_realization(c44, 7), [1], 1, [0]))]
+    all_coincide = [(line6, coincide(collinear_realization(line6, 4), [2, 3, 4, 5, 6], 1,
+                                     [2, -1, F(1, 3), 5, 7])),
+                    (c44, coincide(collinear_realization(c44, 5), [2, 5, 6], 1, [3, 0, -2])),
+                    (cactus0, coincide(collinear_realization(cactus0, 6), [9, 10, 11, 12], 4,
+                                       [-1, 2, F(3, 5), 4]))]
+    return {name: [(cfg, g, generic_q(g, i, cfg)) for i, (cfg, g) in enumerate(inputs)]
+            for name, inputs in [("rank-3", rank3), ("first-pair-coincides", first_pair),
+                                 ("line-all-coincides", all_coincide)]}
+
+
+@pytest.mark.parametrize("name", ["rank-3", "first-pair-coincides", "line-all-coincides"])
+def test_frame_rows_give_the_full_matrix_verdicts(name):
+    """The frame rows and the verdicts on them against the whole Fraction
+    matrix where a line's frame is not its first pair or where it has none.
+    A rank-3 realization has a lift dimension but no planar lifting."""
+    for cfg, gamma, q in frame_inputs()[name]:
+        independent = check_integer_rows(cfg, gamma, q)
+        if name == "rank-3":
+            assert gamma.rank() == 3
+            assert lift_dim(cfg, gamma, q) == oracle_lift_dim(cfg, gamma, q)
+            for verdict in (construct_lifting, trivial_lifting_dim):
+                with pytest.raises(LiftingError, match="planar"):
+                    verdict(cfg, gamma, q)
+        else:
+            assert outcome(cfg, gamma, q) == oracle_outcome(cfg, gamma, q)
+        if name == "line-all-coincides":
+            assert len(independent) < len(cfg.lines)
 
 
 def test_cactus_lift_dim_matches_fraction_rank():

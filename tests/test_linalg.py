@@ -296,6 +296,91 @@ def test_rank_leaves_its_rows_alone():
     assert wide == [[0, 4, 6, 2], [1, 0, 1, 1]]
 
 
+def peel_rounds(a):
+    """How many rounds of setting aside the rows that are the only nonzero of
+    some column `_rank` can take on a."""
+    live, rounds = [row for row in a if any(row)], 0
+    while True:
+        single = {c for c in range(len(a[0]) if a else 0)
+                  if sum(1 for row in live if row[c]) == 1}
+        if not single:
+            return rounds
+        live = [row for row in live if not any(row[c] for c in single)]
+        rounds += 1
+
+
+def sparse_matrix(rng):
+    """A random sparse integer matrix: 0..10 rows and 1..10 columns with
+    nonzeros of a random density, some rows copied as combinations of others,
+    some rows and columns zero; or a bidiagonal staircase, whose peels
+    cascade one row at a time."""
+    rows, cols = rng.randint(0, 10), rng.randint(1, 10)
+    if rng.random() < 0.2:
+        return [[rng.choice([-3, -1, 1, 2]) if c in (i, i + 1) else 0 for c in range(cols)]
+                for i in range(rows)]
+    density = rng.choice([0.15, 0.3, 0.6, 0.9])
+    a = [[rng.randint(-5, 5) if rng.random() < density else 0 for _ in range(cols)]
+         for _ in range(rows)]
+    for i in range(rows):
+        if i >= 2 and rng.random() < 0.2:
+            s, t = rng.randint(-2, 2), rng.randint(-2, 2)
+            a[i] = [s * x + t * y for x, y in zip(*rng.sample(a[:i], 2))]
+    for i in rng.sample(range(rows), min(rows, rng.randint(0, 2))):
+        a[i] = [0] * cols
+    for c in rng.sample(range(cols), min(cols, rng.randint(0, 2))):
+        for row in a:
+            row[c] = 0
+    return a
+
+
+def test_rank_peel_matches_fraction_oracle():
+    """`_rank` sets aside the rows that are the only nonzero of a column
+    before it eliminates; the rank must stay that of Gauss-Jordan elimination
+    with Fraction division, on both sides of the matrix."""
+    rng = random.Random(2024)
+    seen = {"empty": 0, "tall": 0, "zero row": 0, "zero column": 0, "cascade": 0, "no peel": 0}
+    for _ in range(600):
+        a = sparse_matrix(rng)
+        copy = [list(row) for row in a]
+        want = len(fraction_rref(a)[1])
+        assert _rank(a) == want, a
+        assert a == copy
+        if a:
+            assert _rank([list(col) for col in zip(*a)]) == want, a
+        rounds = peel_rounds(a)
+        seen["empty"] += not a
+        seen["tall"] += len(a) > len(a[0]) if a else 0
+        seen["zero row"] += any(not any(row) for row in a)
+        seen["zero column"] += bool(a) and any(not any(col) for col in zip(*a))
+        seen["cascade"] += rounds >= 2
+        seen["no peel"] += bool(a) and rounds == 0 and want > 0
+    assert min(seen.values()) >= 10, seen
+
+
+def test_realization_rank_with_coordinate_axis_points():
+    """A coordinate that one point alone has nonzero, such as that of a
+    point on a coordinate axis, is a column with one nonzero: the peel sets
+    that point aside."""
+    rng = random.Random(7)
+    axes = [vec3(1, 0, 0), vec3(0, -2, 0), vec3(0, 0, F(3, 4))]
+    ranks, peeled = set(), 0
+    for _ in range(200):
+        cols = [rng.choice(axes)] + [
+            rng.choice([vec3(*(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3))),
+                        vec3(0, rng.randint(-3, 3), rng.randint(-3, 3)),
+                        rng.choice(axes), vec3(0, 0, 0)])
+            for _ in range(rng.randint(0, 6))
+        ]
+        if len(cols) > 2 and rng.random() < 0.5:
+            cols[-1] = tuple(2 * x - y for x, y in zip(cols[-2], cols[-3]))
+        rng.shuffle(cols)
+        want = len(fraction_rref([list(c) for c in cols])[1])
+        assert Realization(tuple(cols)).rank() == want, cols
+        ranks.add(want)
+        peeled += peel_rounds([list(c) for c in cols]) > 0
+    assert ranks == {1, 2, 3} and peeled >= 50
+
+
 @pytest.mark.parametrize("fn", [rref, rank, kernel_basis])
 @pytest.mark.parametrize("m", [[[1, 2], [3]], [[1], [2, 3]], [[F(1, 2)], []]])
 def test_ragged_rows_raise_value_error(fn, m):
