@@ -7,6 +7,9 @@ success, 1 on a verification failure or violated hypothesis, 2 on usage
 errors.  Errors are one-line documents {"error": message}.  When standard
 output is closed before the document is written, nothing is printed and the
 exit code is 1.
+
+Published data are tables keyed by preset name, read under the name of the
+configuration given (`preset_name`): a file holding a preset gets its data.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .config import (
     cactus_check,
     chains,
     preset,
+    preset_name,
     q_points,
     subset_has_cycle,
 )
@@ -103,12 +107,8 @@ def cmd_lift_matrix(cfg: Config, args) -> tuple[dict, int]:
     }, 0
 
 
-# the presets whose Grassmann-Cayley generators are the published lists
-PUBLISHED_GC = ("pascal", "pappus")
-
-
 def cmd_generators(cfg: Config, args) -> tuple[dict, int]:
-    name = args.config
+    name = preset_name(cfg)
     fams = ("circuit", "gc", "lifting") if args.family == "all" else (args.family,)
     families: dict = {}
     if "circuit" in fams:
@@ -117,9 +117,7 @@ def cmd_generators(cfg: Config, args) -> tuple[dict, int]:
         if not args.count_only:
             families["circuit"]["polynomials"] = [g.to_text() for g in gens]
     if "gc" in fams:
-        if name == "qs":
-            gens = []
-        elif name in PUBLISHED_GC:
+        if name in ideals.PRESET_GC_LISTS:
             gens = ideals.gc_generators_preset(name)
         else:
             gens = ideals.cactus_generators(cfg, depth=args.depth).gc
@@ -141,7 +139,7 @@ def cmd_generators(cfg: Config, args) -> tuple[dict, int]:
                 }
                 for d in lifting.iter_descriptors(name, limit)
             ]
-    return {"config": name, "families": families}, 0
+    return {"config": args.config, "families": families}, 0
 
 
 def cmd_verify(args) -> tuple[dict, int]:
@@ -158,12 +156,14 @@ def cmd_verify(args) -> tuple[dict, int]:
         bad = sum(1 for g in gammas for c in circuit if c.eval(g) != 0)
         entry["circuit"] = {"generators": len(circuit), "nonvanishing": bad}
         failures += bad
-        if fixture.name in PUBLISHED_GC:
-            gc_gens = ideals.gc_generators_preset(fixture.name)
+        name = preset_name(cfg)
+        if name in ideals.PRESET_GC_LISTS:
+            gc_gens = ideals.gc_generators_preset(name)
             bad = sum(1 for g in gammas for c in gc_gens if c.eval(g) != 0)
             entry["gc"] = {"generators": len(gc_gens), "nonvanishing": bad}
             failures += bad
-            descs = sample_descriptors(fixture.name, limit, seed)
+        if name in lifting.PRESET_MINOR_RECIPES:
+            descs = sample_descriptors(name, limit, seed)
             bad = 0
             for d in descs:
                 for g in gammas:
@@ -184,7 +184,8 @@ def cmd_verify(args) -> tuple[dict, int]:
 
 
 def cmd_decompose(cfg: Config, args) -> tuple[dict, int]:
-    name = args.config if args.config in ("pascal", "pappus") else "cactus"
+    name = preset_name(cfg)
+    name = name if name in harness.PRESET_DECOMPOSITIONS else "cactus"
     rep = harness.decomposition_report(name, cfg)
     return {
         "preset": rep.preset,

@@ -526,17 +526,14 @@ def _cycle_config(k: int, pts_per_line: int) -> Config:
     return Config(k + k * free, lines)
 
 
-_FIXED_PRESETS: dict[str, Config] = {}
-
-
-def _register_fixed():
-    _FIXED_PRESETS["qs"] = Config(6, [(1, 2, 3), (1, 5, 6), (2, 4, 6), (3, 4, 5)])
-    _FIXED_PRESETS["three-concurrent"] = Config(7, [(1, 2, 7), (3, 4, 7), (5, 6, 7)])
-    _FIXED_PRESETS["pascal"] = Config(
+_FIXED_PRESETS: dict[str, Config] = {
+    "qs": Config(6, [(1, 2, 3), (1, 5, 6), (2, 4, 6), (3, 4, 5)]),
+    "three-concurrent": Config(7, [(1, 2, 7), (3, 4, 7), (5, 6, 7)]),
+    "pascal": Config(
         9,
         [(1, 6, 8), (1, 5, 7), (2, 4, 7), (2, 6, 9), (3, 4, 8), (3, 5, 9), (7, 8, 9)],
-    )
-    _FIXED_PRESETS["pappus"] = Config(
+    ),
+    "pappus": Config(
         9,
         [
             (1, 2, 3),
@@ -549,18 +546,18 @@ def _register_fixed():
             (3, 4, 8),
             (3, 5, 9),
         ],
-    )
-    _FIXED_PRESETS["grid3x3"] = Config(
+    ),
+    "grid3x3": Config(
         9,
         [(1, 2, 3), (4, 5, 6), (7, 8, 9), (1, 4, 7), (2, 5, 8), (3, 6, 9)],
-    )
-    _FIXED_PRESETS["fano"] = Config(
+    ),
+    "fano": Config(
         7,
         [(1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (2, 5, 7), (3, 4, 7), (3, 5, 6)],
-    )
+    ),
     # 14-point cactus: a triangle on {1,2,3} plus four pendant lines.
     # Exactly the points 1, 2, 3 have degree >= 3.
-    _FIXED_PRESETS["cactus14"] = Config(
+    "cactus14": Config(
         14,
         [
             (1, 2, 4),
@@ -571,10 +568,8 @@ def _register_fixed():
             (3, 11, 12),
             (2, 13, 14),
         ],
-    )
-
-
-_register_fixed()
+    ),
+}
 
 PRESET_NAMES = tuple(sorted(_FIXED_PRESETS)) + ("line:<n>", "cycle:<k>:<pts-per-line>")
 
@@ -597,3 +592,8 @@ def preset(name: str) -> Config:
     if name.startswith("cycle:"):
         return _cycle_config(*_preset_params(name, "cycle:<k>:<pts-per-line>"))
     raise ConfigError(f"unknown preset {name!r}; known: {', '.join(PRESET_NAMES)}")
+
+
+def preset_name(cfg: Config) -> Optional[str]:
+    """The name of the fixed preset equal to cfg (however it was loaded), or None."""
+    return next((name for name, fixed in _FIXED_PRESETS.items() if fixed == cfg), None)

@@ -13,7 +13,7 @@ configuration sample is accepted by one realization-space check,
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, partial
 from itertools import combinations
@@ -385,68 +385,57 @@ class DecompReport:
         return len(self.components)
 
 
+def _pascal_components(m: Config) -> list[DecompComponent]:
+    return [
+        DecompComponent("V_M(i)", f"point {i} made a loop", m.make_loops({i})) for i in (7, 8, 9)
+    ]
+
+
+def _pappus_components(m: Config) -> list[DecompComponent]:
+    triples = ((1, 4, 9), (2, 5, 8), (3, 6, 7))
+    comps = []
+    for p in m.points:
+        loops_cfg = m.make_loops({p})
+        for t in (t for t in triples if p not in t):
+            added = replace(loops_cfg, lines=loops_cfg.lines + (t,))
+            comps.append(DecompComponent("V_I", f"loop {p} plus added circuit {set(t)}", added))
+    comps += [DecompComponent("V_J", f"loops on {set(t)}", m.make_loops(set(t))) for t in triples]
+    comps += [
+        DecompComponent("V_pi", f"point {i} made a loop", m.make_loops({i})) for i in m.points
+    ]
+    return comps
+
+
+# preset -> the published components of its variety besides V_M and V_U29,
+# transcribed: no rule in the package derives them
+PRESET_DECOMPOSITIONS = {"pascal": _pascal_components, "pappus": _pappus_components}
+
+
 def decomposition_report(name: str, cfg: Optional[Config] = None) -> DecompReport:
-    if name == "pascal":
-        m = preset("pascal")
+    """The published decomposition of a PRESET_DECOMPOSITIONS key; for
+    "cactus", the upper bound of the cactus configuration cfg."""
+    if name in PRESET_DECOMPOSITIONS:
+        m = preset(name)
         comps = [
             DecompComponent("V_M", "the configuration itself", m),
             DecompComponent("V_U29", "all nine points on one line", preset("line:9")),
         ]
-        for i in (7, 8, 9):
-            comps.append(
-                DecompComponent("V_M(i)", f"point {i} made a loop", m.make_loops({i}))
-            )
-        return DecompReport("pascal", comps)
-    if name == "pappus":
-        m = preset("pappus")
-        comps = [
-            DecompComponent("V_M", "the configuration itself", m),
-            DecompComponent("V_U29", "all nine points on one line", preset("line:9")),
-        ]
-        triples = ((1, 4, 9), (2, 5, 8), (3, 6, 7))
-        for p in m.points:
-            for t in triples:
-                if p in t:
-                    continue
-                loops_cfg = m.make_loops({p})
-                with_circuit = Config(
-                    loops_cfg.d,
-                    loops_cfg.lines + (t,),
-                    loops_cfg.loops,
-                    loops_cfg.parallel,
-                )
-                comps.append(
-                    DecompComponent(
-                        "V_I", f"loop {p} plus added circuit {set(t)}", with_circuit
-                    )
-                )
-        for t in triples:
-            comps.append(
-                DecompComponent("V_J", f"loops on {set(t)}", m.make_loops(set(t)))
-            )
-        for i in m.points:
-            comps.append(
-                DecompComponent("V_pi", f"point {i} made a loop", m.make_loops({i}))
-            )
-        return DecompReport("pappus", comps)
-    if name == "cactus":
-        if cfg is None:
-            raise FixtureError("cactus decomposition needs a configuration")
-        if not cactus_check(cfg).is_cactus:
-            raise FixtureError("not a cactus configuration")
-        qm = sorted(q_points(cfg))
-        comps = []
-        for r in range(len(qm) + 1):
-            for j in combinations(qm, r):
-                comps.append(
-                    DecompComponent(
-                        "V_M(J)",
-                        f"loops on {set(j) if j else 'no points'}",
-                        cfg.make_loops(set(j)),
-                    )
-                )
-        return DecompReport("cactus", comps, upper_bound_only=True)
-    raise FixtureError(f"unknown decomposition preset {name!r}")
+        return DecompReport(name, comps + PRESET_DECOMPOSITIONS[name](m))
+    if name != "cactus":
+        raise FixtureError(f"unknown decomposition preset {name!r}")
+    if cfg is None:
+        raise FixtureError("cactus decomposition needs a configuration")
+    if not cactus_check(cfg).is_cactus:
+        raise FixtureError("not a cactus configuration")
+    qm = sorted(q_points(cfg))
+    comps = [
+        DecompComponent(
+            "V_M(J)", f"loops on {set(j) if j else 'no points'}", cfg.make_loops(set(j))
+        )
+        for r in range(len(qm) + 1)
+        for j in combinations(qm, r)
+    ]
+    return DecompReport("cactus", comps, upper_bound_only=True)
 
 
 def components_distinct(report: DecompReport) -> bool:

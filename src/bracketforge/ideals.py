@@ -1,17 +1,17 @@
 """Assembly of the circuit and Grassmann-Cayley generator families.
 
 For a configuration these are the circuit brackets (one per 3-circuit) and
-the Grassmann-Cayley polynomials (from meets of concurrent lines).  The third
-family, the lifting polynomials, are minors of liftability matrices; because
-of their count `lifting` streams them as descriptors (`iter_descriptors`,
-`minor_count`) instead of assembling them here.
+the Grassmann-Cayley polynomials (`concurrency_expressions`, or a preset's
+published list).  The third family, the lifting polynomials, are minors of
+liftability matrices; because of their count `lifting` streams them as
+descriptors (`iter_descriptors`, `minor_count`) instead of assembling them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import Config, cactus_check, q_points, subset_has_cycle
+from .config import Config, cactus_check, preset, q_points, subset_has_cycle
 from .gc import BracketCombo, circuit_combos, gm_generators, join, meet, parse_bracket_text
 
 
@@ -79,32 +79,37 @@ def pascal_gc_expressions():
     return out
 
 
-def pappus_gc_expressions():
-    """Nine concurrency expressions, one per point of the configuration.
-
-    For point p with lines l1 < l2 < l3 through it (lexicographic), the
-    expression is (l1-p ^ l2-p) v (l3-p).
-    """
-    from .config import preset
-
-    cfg = preset("pappus")
+def concurrency_expressions(cfg: Config):
+    """(description, (l1 ^ l2) v l3) for each point p on exactly three lines
+    of three points: l1, l2, l3 are those lines less p, in `cfg.lines` order."""
     out = []
     for p in cfg.points:
-        l1, l2, l3 = (tuple(x for x in l if x != p) for l in sorted(cfg.lines_through(p)))
-        out.append((f"({l1}^{l2})v{l3}", join(meet(l1, l2), *l3)))
+        through = cfg.lines_through(p)
+        if len(through) == 3 and all(len(l) == 3 for l in through):
+            l1, l2, l3 = (tuple(x for x in l if x != p) for l in through)
+            out.append((f"({l1}^{l2})v{l3}", join(meet(l1, l2), *l3)))
     return out
+
+
+# preset -> (its GC expressions, their published forms by index).  Pappus'
+# list is the concurrency rule.  Pascal's stays transcribed: only its
+# generators 4, 5 and 6 are concurrencies (up to sign).  qs has none.
+PRESET_GC_LISTS = {
+    "pascal": (pascal_gc_expressions, PASCAL_GC_EXPECTED_TEXT),
+    "pappus": (
+        lambda: concurrency_expressions(preset("pappus")),
+        dict(enumerate(PAPPUS_GC_EXPECTED_TEXT)),
+    ),
+    "qs": (lambda: [], {}),
+}
 
 
 def gc_generators_preset(preset_name: str) -> list[BracketCombo]:
     """The published GC generators, re-derived from their GC expressions."""
-    if preset_name == "pascal":
-        derived = [c for _, c in pascal_gc_expressions()]
-        expected = PASCAL_GC_EXPECTED_TEXT
-    elif preset_name == "pappus":
-        derived = [c for _, c in pappus_gc_expressions()]
-        expected = dict(enumerate(PAPPUS_GC_EXPECTED_TEXT))
-    else:
+    if preset_name not in PRESET_GC_LISTS:
         raise HypothesisError(f"no published GC generator list for {preset_name!r}")
+    expressions, expected = PRESET_GC_LISTS[preset_name]
+    derived = [c for _, c in expressions()]
     for idx, text in expected.items():
         want = parse_bracket_text(text).expand()
         got = derived[idx].expand()

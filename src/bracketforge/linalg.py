@@ -351,14 +351,27 @@ class Realization:
 
     @staticmethod
     def from_json(text: str) -> "Realization":
+        """Parse the to_json format; a malformed document is a ValueError
+        that says what is wrong."""
         rows = json.loads(text)
-        if len(rows) != 3:
-            raise ValueError("realization must be a 3 x d array")
+        shaped = isinstance(rows, list) and len(rows) == 3
+        if not shaped or not all(isinstance(r, list) for r in rows):
+            raise ValueError("realization must be a 3 x d array of rows")
         d = len(rows[0])
         if any(len(r) != d for r in rows):
             raise ValueError("ragged realization rows")
-        cols = [vec3(*(Fraction(str(rows[r][c])) for r in range(3))) for c in range(d)]
+        cols = [vec3(*(_parse_entry(rows[r][c]) for r in range(3))) for c in range(d)]
         return Realization(tuple(cols))
+
+
+def _parse_entry(x) -> Fraction:
+    """A realization entry: an integer, or a string like "-3/4"."""
+    try:
+        return Fraction(str(x))
+    except ValueError:
+        raise ValueError(f"realization entry {x!r} is not a rational number") from None
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in realization entry {x!r}") from None
 
 
 def _frac_str(x: Fraction) -> str:

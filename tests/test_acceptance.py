@@ -34,8 +34,8 @@ from bracketforge.ideals import (
     HypothesisError,
     cactus_generators,
     circuit_generators,
+    concurrency_expressions,
     gc_generators_preset,
-    pappus_gc_expressions,
     pascal_gc_expressions,
     PAPPUS_GC_EXPECTED_TEXT,
     PASCAL_GC_EXPECTED_TEXT,
@@ -74,7 +74,7 @@ def test_criterion_1_generator_counts():
     got = {}
     for name in ("pascal", "pappus"):
         cfg = preset(name)
-        exprs = pascal_gc_expressions() if name == "pascal" else pappus_gc_expressions()
+        exprs = pascal_gc_expressions() if name == "pascal" else concurrency_expressions(cfg)
         got[name] = (len(circuit_generators(cfg)), len(exprs), minor_count(name))
     elapsed = time.perf_counter() - start
     want = {"pascal": (7, 7, 708_588), "pappus": (9, 9, 2_361_960)}
@@ -155,7 +155,7 @@ def test_criterion_3_gc_reproduction():
             want = parse_bracket_text(PASCAL_GC_EXPECTED_TEXT[idx])
             if canonical(combo) != canonical(want):
                 mismatches.append(("pascal", idx))
-    for idx, (_, combo) in enumerate(pappus_gc_expressions()):
+    for idx, (_, combo) in enumerate(concurrency_expressions(preset("pappus"))):
         want = parse_bracket_text(PAPPUS_GC_EXPECTED_TEXT[idx])
         if canonical(combo) != canonical(want):
             mismatches.append(("pappus", idx))

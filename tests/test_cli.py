@@ -107,6 +107,22 @@ def test_decompose():
     assert code == 0 and doc["count"] == 8
 
 
+@pytest.mark.parametrize("name", ["pascal", "pappus", "qs"])
+def test_a_file_holding_a_preset_gets_its_published_data(tmp_path, name):
+    """Dispatch is on the configuration: a JSON file equal to a preset, its
+    lines listed in another order, gives that preset's documents."""
+    cfg = bracketforge.preset(name)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"d": cfg.d, "lines": [list(l) for l in reversed(cfg.lines)]}))
+    for argv in (["generators", "--count-only"], ["decompose"]):
+        code, doc = run(argv + ["--config", name])
+        file_code, file_doc = run(argv + ["--config", str(path)])
+        assert file_code == code
+        if "config" in doc:
+            assert file_doc.pop("config") == str(path) and doc.pop("config") == name
+        assert file_doc == doc
+
+
 def test_verify_reports_and_exit_code():
     code, doc = run(["verify", "--samples", "1", "--limit", "2"])
     assert code in (0, 1)

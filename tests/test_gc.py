@@ -21,7 +21,7 @@ from bracketforge.gc import (
     rewrite_choices,
 )
 from bracketforge.harness import pascal_family_sample, random_cactus
-from bracketforge.ideals import pappus_gc_expressions, pascal_gc_expressions
+from bracketforge.ideals import concurrency_expressions, pascal_gc_expressions
 from bracketforge.linalg import Realization, cross, det3, proportional, vec3, vscale, vsub
 
 
@@ -164,7 +164,7 @@ def test_meet_and_join_match_graded_calculus_goldens():
     replaced: the published Pascal and Pappus expressions, and the
     concurrency combination (l1 ^ l2) v l3 of every triple of ordered pairs
     of distinct points among 1..6."""
-    pairs = [[d, c.to_text()] for d, c in pascal_gc_expressions() + pappus_gc_expressions()]
+    pairs = [[d, c.to_text()] for d, c in pascal_gc_expressions() + concurrency_expressions(preset("pappus"))]
     digest = hashlib.sha256(json.dumps(pairs).encode()).hexdigest()
     assert digest == "0277fb9adbd90c26465d32cff9f33a153dc0ddfc9638246cabb36871ff16cc44"
     lines = list(permutations(range(1, 7), 2))

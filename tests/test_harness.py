@@ -205,6 +205,16 @@ def test_decomposition_counts():
     assert cactus.upper_bound_only
 
 
+def test_decomposition_report_rejects_an_unknown_name():
+    """A name without a published decomposition is an error, also when a
+    cactus configuration is given: it is not read as "cactus"."""
+    for cfg in (None, preset("cactus14")):
+        with pytest.raises(FixtureError, match="unknown decomposition preset 'papus'"):
+            decomposition_report("papus", cfg)
+    with pytest.raises(FixtureError, match="needs a configuration"):
+        decomposition_report("cactus")
+
+
 def test_pappus_decomposition_structure():
     kinds = [c.kind for c in decomposition_report("pappus").components]
     from collections import Counter

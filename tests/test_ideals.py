@@ -13,8 +13,8 @@ from bracketforge.ideals import (
     HypothesisError,
     cactus_generators,
     circuit_generators,
+    concurrency_expressions,
     gc_generators_preset,
-    pappus_gc_expressions,
     pascal_gc_expressions,
 )
 
@@ -42,7 +42,7 @@ def test_pascal_gc_seven_expressions():
 
 
 def test_pappus_gc_nine_expressions():
-    exprs = pappus_gc_expressions()
+    exprs = concurrency_expressions(preset("pappus"))
     assert len(exprs) == 9
     for idx, text in enumerate(PAPPUS_GC_EXPECTED_TEXT):
         want = parse_bracket_text(text).expand()
@@ -54,6 +54,48 @@ def test_gc_generators_vanish():
         g = sampler(1)
         for c in gc_generators_preset(name):
             assert c.eval(g) == 0
+
+
+def test_concurrency_rule_on_pascal_is_published_generators_6_4_5():
+    """Points 7, 8 and 9 are Pascal's only points on three lines; their
+    concurrencies are published generators 6, 4 and 5, up to sign."""
+    exprs = concurrency_expressions(preset("pascal"))
+    assert [d for d, _ in exprs] == [
+        "((1, 5)^(2, 4))v(8, 9)",
+        "((1, 6)^(3, 4))v(7, 9)",
+        "((2, 6)^(3, 5))v(7, 8)",
+    ]
+    published = pascal_gc_expressions()
+    for (_, combo), idx in zip(exprs, (6, 4, 5)):
+        assert combo.expand().eq_up_to_sign(published[idx][1].expand())
+
+
+@pytest.mark.parametrize(
+    "name, points",
+    [
+        ("three-concurrent", [7]),
+        ("fano", [1, 2, 3, 4, 5, 6, 7]),
+        ("cactus14", [2, 3]),
+        ("pappus", [1, 2, 3, 4, 5, 6, 7, 8, 9]),
+        ("qs", []),
+        ("grid3x3", []),
+        ("cycle:4:4", []),
+    ],
+)
+def test_concurrency_rule_counts(name, points):
+    """One expression per point on exactly three 3-point lines: cactus14's
+    point 1 lies on four lines, and no point of qs, grid3x3 or cycle:4:4
+    lies on more than two."""
+    cfg = preset(name)
+    exprs = concurrency_expressions(cfg)
+    assert len(exprs) == len(points)
+    for p, (_, combo) in zip(points, exprs):
+        others = {x for l in cfg.lines_through(p) for x in l} - {p}
+        assert combo.points() <= others
+
+
+def test_qs_published_gc_list_is_empty():
+    assert gc_generators_preset("qs") == []
 
 
 def test_gc_generators_unknown_preset():

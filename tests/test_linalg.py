@@ -422,6 +422,21 @@ def test_realization_json_roundtrip():
     assert back.col(2) == vec3(F(1, 2), 0, -1)
 
 
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ('[["1/0", 2], [3, 4], [5, 6]]', "zero denominator in realization entry '1/0'"),
+        ("[1, 2, 3]", "realization must be a 3 x d array of rows"),
+        ('[["x", 2], [3, 4], [5, 6]]', "realization entry 'x' is not a rational number"),
+        ("[[1, 2], [3], [4, 5]]", "ragged realization rows"),
+    ],
+)
+def test_realization_from_json_rejects_malformed_documents(text, reason):
+    with pytest.raises(ValueError) as err:
+        Realization.from_json(text)
+    assert type(err.value) is ValueError and str(err.value) == reason
+
+
 def test_realization_restrict_relabels():
     g = Realization(tuple(vec3(i, 0, 1) for i in range(1, 5)))
     h = g.restrict([2, 4])
