@@ -131,13 +131,13 @@ def cmd_generators(cfg: Config, args) -> tuple[dict, int]:
             limit = args.limit if args.limit is not None else 10
             families["lifting"]["descriptors"] = [
                 {
-                    "matrix": d.matrix_tag,
-                    "deleted": d.deleted,
-                    "rows": list(d.rows),
-                    "cols": list(d.cols),
-                    "q": list(d.q_assignment) if d.q_assignment else "symbolic",
+                    "matrix": desc.matrix_tag,
+                    "deleted": desc.deleted,
+                    "rows": list(desc.rows),
+                    "cols": list(desc.cols),
+                    "q": list(desc.q_assignment) if desc.q_assignment else "symbolic",
                 }
-                for d in lifting.iter_descriptors(name, limit)
+                for desc in lifting.iter_descriptors(name, limit)
             ]
     return {"config": args.config, "families": families}, 0
 
@@ -167,10 +167,7 @@ def cmd_verify(args) -> tuple[dict, int]:
             bad = 0
             for d in descs:
                 for g in gammas:
-                    gamma = g if d.deleted is None else g.restrict(
-                        [p for p in range(1, g.d + 1) if p != d.deleted]
-                    )
-                    if lifting.eval_descriptor(d, gamma) != 0:
+                    if lifting.eval_descriptor(d, d.restrict(g)) != 0:
                         bad += 1
             entry["lifting"] = {"descriptors": len(descs), "nonvanishing_evaluations": bad}
             failures += bad

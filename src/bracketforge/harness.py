@@ -609,7 +609,7 @@ def random_cactus(seed: int, blocks: int = 3) -> Config:
 def fixtures() -> list[Fixture]:
     # one Config per cactus fixture, shared with its sampler (and its bases() cache)
     cactus14 = preset("cactus14")
-    triangle = Config(6, [(1, 2, 4), (2, 3, 5), (1, 3, 6)])
+    triangle = preset("cycle:3:3")
     return [
         Fixture("pappus", preset("pappus"), pappus_realization),
         Fixture("pascal", preset("pascal"), pascal_family_sample),

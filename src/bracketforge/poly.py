@@ -313,15 +313,19 @@ def bracket(
     return _det([point(c) if isinstance(c, int) else c for c in (c1, c2, c3)])
 
 
-def _select(entries: PolyMatrix, rows: Sequence[int], cols: Sequence[int]):
+def _check_minor(rows: Sequence[int], cols: Sequence[int], n_rows: int, n_cols: int) -> None:
+    """Raise ValueError unless rows and cols (0-based) pick a nonempty square
+    minor of an n_rows x n_cols matrix."""
     if len(rows) != len(cols):
         raise ValueError("minor needs equally many rows and columns")
     if not rows:
         raise ValueError("empty minor")
-    n_rows = len(entries)
-    n_cols = len(entries[0]) if n_rows else 0
     if any(not 0 <= r < n_rows for r in rows) or any(not 0 <= c < n_cols for c in cols):
         raise ValueError("minor indices out of range")
+
+
+def _select(entries: PolyMatrix, rows: Sequence[int], cols: Sequence[int]):
+    _check_minor(rows, cols, len(entries), len(entries[0]) if entries else 0)
     return [[entries[r][c] for c in cols] for r in rows]
 
 

@@ -1,9 +1,27 @@
-"""Reference implementations the tests check the package against."""
+"""Reference implementations the tests check the package against, and the
+helpers several test files share: random realizations and golden digests."""
 
+import hashlib
+from fractions import Fraction
 from itertools import combinations
 from typing import Iterable
 
 from bracketforge.config import Config, _point_line_graph
+from bracketforge.linalg import Realization, vec3
+
+
+def rand_realization(rng, d: int) -> Realization:
+    """d columns of Fractions with numerators in -9..9 and denominators 1..3."""
+    return Realization(
+        tuple(vec3(*(Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(3)))
+              for _ in range(d))
+    )
+
+
+def sha256_lines(lines: Iterable[str]) -> str:
+    """The sha256 hex digest of the lines joined by newlines: how the golden
+    digests of the tests are recorded."""
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 def subset_has_cycle_dfs(cfg: Config, subset: Iterable[int]) -> bool:

@@ -57,16 +57,12 @@ from bracketforge.poly import (
     symbolic_minor,
 )
 
+from oracles import rand_realization
+
 
 def report(n, ok, detail):
     print(f"\nCRITERION {n}: {'PASS' if ok else 'FAIL'} - {detail}")
     return ok
-
-
-def rand_realization(rng, d):
-    return Realization(
-        tuple(vec3(*(F(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(3))) for _ in range(d))
-    )
 
 
 def test_criterion_1_generator_counts():
@@ -327,13 +323,12 @@ def test_criterion_9_property_suites():
     from itertools import combinations
 
     minor_ok = True
+    minors = [(cols, sym.minor((0, 1, 2, 3), cols)) for cols in combinations(range(6), 4)]
     for _ in range(10):
         g = rand_realization(rng, 6)
         qv = vec3(*(F(rng.randint(-5, 5)) for _ in range(3)))
-        for cols in combinations(range(6), 4):
-            if sym.minor((0, 1, 2, 3), cols).eval(g, qv) != sym.minor_eval(
-                (0, 1, 2, 3), cols, g, qv
-            ):
+        for cols, minor in minors:
+            if minor.eval(g, qv) != sym.minor_eval((0, 1, 2, 3), cols, g, qv):
                 minor_ok = False
     ok = alt_ok and mult_ok and hom_ok and meet_ok and scheme_ok and minor_ok
     assert report(

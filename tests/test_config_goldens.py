@@ -31,7 +31,8 @@ from bracketforge.harness import (
 )
 from bracketforge.linalg import cross
 
-from oracles import dependency_signature_scan, lines_through_scan, subset_has_cycle_dfs
+from oracles import (dependency_signature_scan, lines_through_scan, sha256_lines,
+                     subset_has_cycle_dfs)
 
 
 def _configs():
@@ -64,10 +65,6 @@ def _outcome(fn, *args) -> str:
     return out.to_json() if hasattr(out, "to_json") else repr(out)
 
 
-def _digest(lines) -> str:
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
-
-
 def _random_subsets(population, rng: random.Random, n: int = 5) -> list[list[int]]:
     return [sorted(rng.sample(population, rng.randint(0, len(population)))) for _ in range(n)]
 
@@ -79,7 +76,7 @@ def test_config_count():
 @pytest.mark.parametrize("fn", [chains, admissible_ordering], ids=lambda fn: fn.__name__)
 def test_whole_configuration_golden(fn):
     lines = [f"{name}: {_outcome(fn, cfg)}" for name, cfg in CONFIGS]
-    assert _digest(lines) == GOLDEN[fn.__name__]
+    assert sha256_lines(lines) == GOLDEN[fn.__name__]
 
 
 def test_subset_has_cycle_golden():
@@ -91,7 +88,7 @@ def test_subset_has_cycle_golden():
             verdict = subset_has_cycle(cfg, sub)
             assert verdict == subset_has_cycle_dfs(cfg, sub), (name, sub)
             lines.append(f"{name} {sub}: {verdict}")
-    assert _digest(lines) == GOLDEN["subset_has_cycle"]
+    assert sha256_lines(lines) == GOLDEN["subset_has_cycle"]
 
 
 @pytest.mark.parametrize("method", ["restrict", "delete", "make_loops"])
@@ -101,7 +98,7 @@ def test_sub_configuration_golden(method):
     for name, cfg in CONFIGS:
         for sub in _random_subsets(list(cfg.points), rng):
             lines.append(f"{name} {sub}: {_outcome(getattr(cfg, method), sub)}")
-    assert _digest(lines) == GOLDEN[method]
+    assert sha256_lines(lines) == GOLDEN[method]
 
 
 def test_circuits3_are_the_dependent_triples_without_loops_or_parallel_pairs():

@@ -24,11 +24,7 @@ from bracketforge.harness import pascal_family_sample, random_cactus
 from bracketforge.ideals import concurrency_expressions, pascal_gc_expressions
 from bracketforge.linalg import Realization, cross, det3, proportional, vec3, vscale, vsub
 
-
-def rand_realization(rng, d):
-    return Realization(
-        tuple(vec3(*(F(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(3))) for _ in range(d))
-    )
+from oracles import rand_realization, sha256_lines
 
 
 def test_combo_ring_and_expand():
@@ -169,8 +165,7 @@ def test_meet_and_join_match_graded_calculus_goldens():
     assert digest == "0277fb9adbd90c26465d32cff9f33a153dc0ddfc9638246cabb36871ff16cc44"
     lines = list(permutations(range(1, 7), 2))
     texts = [join(meet(l1, l2), *l3).to_text() for l1, l2, l3 in product(lines, repeat=3)]
-    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
-    assert digest == "95679b3e0c9dbc337e33e07c8e6af375e45cb3c88414c47d61ab64ac55a73f06"
+    assert sha256_lines(texts) == "95679b3e0c9dbc337e33e07c8e6af375e45cb3c88414c47d61ab64ac55a73f06"
 
 
 def test_gm_rewrite_combo_and_poly_agree():
@@ -382,10 +377,6 @@ def test_eval_rejects_labels_outside_the_realization(text, label):
         parse_bracket_text(text).eval(gamma)
 
 
-def _sha256(lines) -> str:
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
-
-
 # Recorded with the evaluator that read one column at a time through the
 # realization: sha256 of str(c.eval(g)), one line per (realization, generator),
 # at the sampled realizations and at a column-shuffled copy of each (where
@@ -405,9 +396,9 @@ def test_eval_golden_on_cactus_orbit(cactus_orbit):
 
     cfg, orbit = cactus_orbit
     gammas = [cactus_realization(cfg, s) for s in range(3)]
-    assert _sha256(str(c.eval(g)) for g in gammas for c in orbit) == EVAL_GOLDEN["orbit"]
+    assert sha256_lines(str(c.eval(g)) for g in gammas for c in orbit) == EVAL_GOLDEN["orbit"]
     shuffled = [_shuffled(g, s) for s, g in enumerate(gammas)]
-    assert _sha256(str(c.eval(g)) for g in shuffled for c in orbit) == (
+    assert sha256_lines(str(c.eval(g)) for g in shuffled for c in orbit) == (
         EVAL_GOLDEN["orbit-shuffled"])
 
 
@@ -426,8 +417,8 @@ def test_eval_golden_on_fixtures():
             at_samples += [str(c.eval(g)) for c in gens]
             at_shuffled += [str(c.eval(_shuffled(g, s))) for c in gens]
     assert len(at_samples) == 84 and sum(v != "0" for v in at_shuffled) == 82
-    assert _sha256(at_samples) == EVAL_GOLDEN["fixtures"]
-    assert _sha256(at_shuffled) == EVAL_GOLDEN["fixtures-shuffled"]
+    assert sha256_lines(at_samples) == EVAL_GOLDEN["fixtures"]
+    assert sha256_lines(at_shuffled) == EVAL_GOLDEN["fixtures-shuffled"]
 
 
 def test_eval_sums_several_keys_and_the_zero_combination():

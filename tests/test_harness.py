@@ -1,4 +1,3 @@
-import hashlib
 from fractions import Fraction as F
 from itertools import combinations, product
 
@@ -31,6 +30,8 @@ from bracketforge.harness import (
 )
 from bracketforge.linalg import ZERO3, Realization, cross, det3, meet_lines, vec3, vscale
 
+from oracles import sha256_lines
+
 
 def test_fixture_samples_are_genuine_realizations():
     for fx in fixtures():
@@ -54,7 +55,7 @@ def test_fixture_samples_deterministic():
     for fx in fxs:
         samples = fx.samples(3, seed=5)
         assert samples == fx.samples(3, seed=5)
-        assert _sha256(g.to_json() for g in samples) == FIXTURE_SAMPLES_SHA256[fx.name]
+        assert sha256_lines(g.to_json() for g in samples) == FIXTURE_SAMPLES_SHA256[fx.name]
 
 
 def test_sampler_gives_up_at_the_retry_cap():
@@ -111,7 +112,7 @@ def _outcome(family, args) -> str:
 
 
 def test_qs_realization_golden():
-    assert _sha256(qs_realization(s).to_json() for s in range(200)) == (
+    assert sha256_lines(qs_realization(s).to_json() for s in range(200)) == (
         "d8311a06834be3c3f5fbb0ec37c544f5636e9cc73d25c09b6db4dea40c9051fb"
     )
 
@@ -124,7 +125,7 @@ _GRID = (F(0), F(1), F(-1), F(2), F(1, 2))
 def test_pascal_family_golden_with_degenerate_parameters():
     outcomes = [_outcome(pascal_family, a) for a in product(_GRID, repeat=5)]
     assert sum(o.startswith("FixtureError") for o in outcomes) == 2933
-    assert _sha256(outcomes) == (
+    assert sha256_lines(outcomes) == (
         "01ff499d2344fdb6014ea9f9060ffa3b2da7dbfa2a95061714ced208a90e03f7"
     )
 
@@ -132,7 +133,7 @@ def test_pascal_family_golden_with_degenerate_parameters():
 def test_pappus8_family_golden_with_degenerate_parameters():
     outcomes = [_outcome(pappus8_family, a) for a in product(_GRID + (F(-2),), repeat=3)]
     assert sum(o.startswith("FixtureError") for o in outcomes) == 186
-    assert _sha256(outcomes) == (
+    assert sha256_lines(outcomes) == (
         "eb94fc349cec5d2e6cf09775bf82118f28bc811d5c2f0544d73e86bd9c8f4576"
     )
 
@@ -242,21 +243,17 @@ def test_collinear_realization_is_rank_two():
     assert len(cols) == 6  # pairwise distinct points
 
 
-def _sha256(lines) -> str:
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
-
-
 def test_cactus_orbit_golden():
     gens = gm_generators(random_cactus(0), 2)
     assert len(gens) == 6825
-    assert _sha256(c.to_text() for c in gens) == (
+    assert sha256_lines(c.to_text() for c in gens) == (
         "4798c758664be84a40b649d32d5bd31113a4f60888b37e3c6506faafc70a8cf1"
     )
 
 
 def test_cactus_realization_golden():
     cfg = random_cactus(0)
-    assert _sha256(cactus_realization(cfg, s).to_json() for s in range(10)) == (
+    assert sha256_lines(cactus_realization(cfg, s).to_json() for s in range(10)) == (
         "babacd588aa13c003933c0ab58e99afc27a506a2e251756b637aefcfb45ace69"
     )
 

@@ -8,7 +8,6 @@ verdict must be byte-identical to it, and the integer rows must be the
 Fraction rows rescaled by the column, row and q multipliers.
 """
 
-import hashlib
 import math
 import random
 from fractions import Fraction as F
@@ -48,6 +47,7 @@ from bracketforge.linalg import (
     vec3,
 )
 
+from oracles import sha256_lines
 from test_lifting import CRITERION_6_CONFIGS
 from test_linalg import fraction_rref
 
@@ -224,7 +224,7 @@ GOLDEN = {
 def test_lift_kernel_golden(seed):
     lines = [f"{name}: {outcome(cfg, gamma, q)}"
              for name, cfg, gamma, q in lift_kernel_inputs(seed, 3)]
-    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == GOLDEN[seed]
+    assert sha256_lines(lines) == GOLDEN[seed]
 
 
 def test_verdicts_never_build_fraction_rows(monkeypatch):

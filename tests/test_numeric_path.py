@@ -41,12 +41,6 @@ def generic_points(seed: int, d: int, n: int = 2) -> list[Realization]:
     ]
 
 
-def restricted(gamma: Realization, deleted) -> Realization:
-    if deleted is None:
-        return gamma
-    return gamma.restrict([p for p in range(1, gamma.d + 1) if p != deleted])
-
-
 @pytest.mark.parametrize(
     "name, gens, sampler",
     [
@@ -99,7 +93,7 @@ def test_eval_descriptor_matches_symbolic_minor(preset_name, sampler, q):
     for d in descs:
         m = descriptor_matrix(d)
         for gamma in full:
-            g = restricted(gamma, d.deleted)
+            g = d.restrict(gamma)
             value = eval_descriptor(d, g, q)
             assert value == m.minor_eval(d.rows, d.cols, g, q), d
             nonzero += value != 0

@@ -17,14 +17,10 @@ from bracketforge.poly import (
     sort_sign,
 )
 
+from oracles import rand_realization
+
 fracs = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 vecs = st.tuples(fracs, fracs, fracs)
-
-
-def rand_realization(rng, d):
-    return Realization(
-        tuple(vec3(*(F(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(3))) for _ in range(d))
-    )
 
 
 def rand_poly(rng, d):
