@@ -7,21 +7,24 @@ kernel at a planar collection gamma parametrizes the ways to lift gamma out
 of its plane along the direction q while preserving the circuits to first
 order.
 
-`lift_matrix` builds the matrix of polynomials, with one symbolic q or one
-fixed q vector per column (`QScheme`); a fixed q shared by all columns is the
-symbolic matrix evaluated at q.  Its entries are expanded on first use, so
-its circuits and printed shorthand cost no expansion.  Verdicts build its
-value at gamma directly, in the same layout, with no polynomial.  A descriptor
-minor has its own q per column and builds the selected Fraction rows from
-cross products, [u v q] = dot(cross(gamma_u, gamma_v), q); its indices are
-checked by `poly._check_minor`, and `MinorDescriptor.restrict` maps a
-realization of the preset to one of the descriptor's matrix.  The single-q
-verdicts (lifting dimensions, liftings) share one prologue,
-`_check_lifting_input`: it checks the input, clears q, takes cross(g_v, q)
-for every integer column g_v once, and returns the matrix built on the
-realization's integer columns and the integer form of q; its rows differ
-from Fraction rows only by positive row scalings and one positive scaling
-per column, which keep the rank and scale each kernel vector back exactly.
+`lift_matrix` builds the matrix, with one symbolic q or one fixed q vector
+per column (`QScheme`); a fixed q shared by all columns is the symbolic
+matrix evaluated at q.  One builder, `LiftMatrix._values`, gives its
+selected entries at gamma from cross products, [u v q] = dot(cross(gamma_u,
+gamma_v), q), with no polynomial; `evaluate` and `minor_eval` read it.  The
+bracket polynomials (`entries`) are expanded on first use, only where a
+polynomial is the result (symbolic minors, and the tests' reference); the
+circuits and printed shorthand cost no expansion.  A descriptor is one minor
+of its matrix, with its own q per column: `eval_descriptor` is that matrix's
+`minor_eval`, whose indices `poly._check_minor` checks, and
+`MinorDescriptor.restrict` maps a realization of the preset to one of the
+descriptor's matrix.  The single-q verdicts (lifting dimensions, liftings)
+share one prologue, `_check_lifting_input`: it checks the input, clears q,
+takes cross(g_v, q) for every integer column g_v once, and returns the
+matrix built on the realization's integer columns and the integer form of
+q; its rows differ from Fraction rows only by positive row scalings and one
+positive scaling per column, which keep the rank and scale each kernel
+vector back exactly.
 Of the C(k, 3) rows of a k-point line it builds only the k - 2 frame rows,
 the circuits {a, b, c} of one independent pair (a, b): once the input is
 checked (every circuit vanishes, q in general position), the
@@ -57,7 +60,7 @@ from .linalg import (
     det_exact,
     dot,
 )
-from .poly import BracketPoly, Q_COL, _check_minor, _select, bracket, const_col, symbolic_minor
+from .poly import BracketPoly, Q_COL, _check_minor, bracket, const_col, symbolic_minor
 
 
 class LiftingError(ValueError):
@@ -88,7 +91,11 @@ class QScheme:
 class LiftMatrix:
     cfg: Config
     scheme: QScheme
-    circuits: tuple[tuple[int, ...], ...]
+
+    @property
+    def circuits(self) -> tuple[tuple[int, int, int], ...]:
+        """The 3-circuits that index the rows."""
+        return self.cfg.circuits3()
 
     @cached_property
     def entries(self) -> tuple[tuple[BracketPoly, ...], ...]:
@@ -107,10 +114,36 @@ class LiftMatrix:
     def shape(self) -> tuple[int, int]:
         return len(self.circuits), self.cfg.d
 
-    def evaluate(self, gamma: Realization, q: Optional[Vec3] = None) -> list[list[Fraction]]:
+    def _values(
+        self, gamma: Realization, q: Optional[Vec3], rows: Iterable[int], cols: Sequence[int]
+    ) -> list[list[Fraction]]:
+        """The selected rows and columns (0-based) of the matrix at gamma.
+
+        Entry (circuit, c) is sign * [u v q_c] = sign * dot(cross(gamma_u,
+        gamma_v), q_c), with q_c the scheme's vector for column c, or q when
+        the scheme's q is symbolic.
+        """
         if gamma.d != self.cfg.d:
             raise LiftingError("realization size does not match configuration")
-        return [[p.eval(gamma, q) for p in row] for row in self.entries]
+        q_cols = self.scheme.per_column
+        if q_cols is None:
+            if q is None:
+                raise ValueError("the matrix has a symbolic q but no q value given")
+            q_cols = (q,) * self.cfg.d
+        layout = _circuit_rows(self.cfg)
+        out = []
+        for r in rows:
+            entries = {}
+            for col, (u, v), sign in layout[r]:
+                value = dot(cross(gamma.col(u), gamma.col(v)), q_cols[col - 1])
+                entries[col] = value if sign > 0 else -value
+            out.append([entries.get(c + 1, ZERO) for c in cols])
+        return out
+
+    def evaluate(self, gamma: Realization, q: Optional[Vec3] = None) -> list[list[Fraction]]:
+        """The matrix at gamma; q is the direction for a symbolic-q matrix
+        and is ignored otherwise."""
+        return self._values(gamma, q, range(len(self.circuits)), range(self.cfg.d))
 
     def minor(self, rows: Sequence[int], cols: Sequence[int]) -> BracketPoly:
         return symbolic_minor(self.entries, rows, cols)
@@ -122,7 +155,9 @@ class LiftMatrix:
         gamma: Realization,
         q: Optional[Vec3] = None,
     ) -> Fraction:
-        return det_exact(_select(self.evaluate(gamma, q), rows, cols))
+        """The minor at gamma, from the selected entries only."""
+        _check_minor(rows, cols, *self.shape)
+        return det_exact(self._values(gamma, q, rows, cols))
 
     def bracket_text(self) -> list[list[str]]:
         """Shorthand like "[23 q1]" mirroring how such matrices are printed."""
@@ -150,54 +185,17 @@ def lift_matrix(cfg: Config, scheme: QScheme) -> LiftMatrix:
     q_cols = scheme.per_column
     if q_cols is not None and len(q_cols) != cfg.d:
         raise LiftingError("per-column scheme length must equal d")
-    return LiftMatrix(cfg, scheme, cfg.circuits3())
-
-
-def _numeric_rows(
-    cfg: Config,
-    gamma: Realization,
-    q_cols: Sequence[Vec3],
-    rows: Optional[Sequence[int]] = None,
-    cols: Optional[Sequence[int]] = None,
-) -> list[list[Fraction]]:
-    """The liftability matrix evaluated at gamma, built numerically.
-
-    Entry (circuit, c) is sign * [u v q_c] = sign * dot(cross(gamma_u,
-    gamma_v), q_c), with q_cols[c - 1] the direction used in column c.
-    rows and cols (0-based, in range) select a submatrix; by default all of it.
-    """
-    if gamma.d != cfg.d:
-        raise LiftingError("realization size does not match configuration")
-    if len(q_cols) != cfg.d:
-        raise LiftingError("one q vector per column is needed")
-    layout = _circuit_rows(cfg)
-    if rows is None:
-        rows = range(len(layout))
-    if cols is None:
-        cols = range(cfg.d)
-    crosses: dict = {}
-    out = []
-    for r in rows:
-        entries = {}
-        for col, pair, sign in layout[r]:
-            w = crosses.get(pair)
-            if w is None:
-                w = crosses[pair] = cross(gamma.col(pair[0]), gamma.col(pair[1]))
-            value = dot(w, q_cols[col - 1])
-            entries[col] = value if sign > 0 else -value
-        out.append([entries.get(c + 1, ZERO) for c in cols])
-    return out
+    return LiftMatrix(cfg, scheme)
 
 
 # ---------------------------------------------------------------------------
 # Minor descriptors and counts
 
 PRESET_MINOR_RECIPES = {
-    # preset -> list of (matrix tag, deleted point or None, minor size, q mode)
-    "pascal": [("full", None, 7, "basis")],
-    "pappus": [("full", None, 7, "basis")]
-    + [("delete", i, 6, "basis") for i in range(1, 10)],
-    "qs": [("full", None, 4, "symbolic")],
+    # preset -> list of (deleted point or None, minor size, q mode)
+    "pascal": [(None, 7, "basis")],
+    "pappus": [(None, 7, "basis")] + [(i, 6, "basis") for i in range(1, 10)],
+    "qs": [(None, 4, "symbolic")],
 }
 
 
@@ -205,17 +203,21 @@ PRESET_MINOR_RECIPES = {
 class MinorDescriptor:
     """One lifting generator: a minor position plus a q assignment.
 
-    matrix_tag/deleted identify the liftability matrix; rows and cols are
+    preset/deleted identify the liftability matrix; rows and cols are
     0-based indices into it; q_assignment gives the basis-vector index
     (1..3) per column of the matrix, or None for symbolic q.
     """
 
     preset: str
-    matrix_tag: str
     deleted: Optional[int]
     rows: tuple[int, ...]
     cols: tuple[int, ...]
     q_assignment: Optional[tuple[int, ...]]
+
+    @property
+    def matrix_tag(self) -> str:
+        """"full" for the preset's matrix, "delete" for a deleted point's."""
+        return "full" if self.deleted is None else "delete"
 
     def restrict(self, gamma: Realization) -> Realization:
         """The realization of this descriptor's matrix from one of its preset:
@@ -235,8 +237,8 @@ def _matrix_config(preset: str, deleted: Optional[int]) -> Config:
 
 
 def _recipe_matrices(preset: str):
-    """Per liftability matrix of a preset: (tag, deleted, size, qmode, cfg,
-    count), count being its number of descriptors.
+    """Per liftability matrix of a preset: (deleted, size, qmode, cfg, count),
+    count being its number of descriptors.
 
     A minor position is a choice of `size` columns (for square matrices the
     omitted rows are the positionally matching ones, so positions are in
@@ -245,10 +247,10 @@ def _recipe_matrices(preset: str):
     """
     if preset not in PRESET_MINOR_RECIPES:
         raise LiftingError(f"unknown lifting preset {preset!r}")
-    for tag, deleted, size, qmode in PRESET_MINOR_RECIPES[preset]:
+    for deleted, size, qmode in PRESET_MINOR_RECIPES[preset]:
         cfg = _matrix_config(preset, deleted)
         count = comb(cfg.d, size) * (3 ** cfg.d if qmode == "basis" else 1)
-        yield tag, deleted, size, qmode, cfg, count
+        yield deleted, size, qmode, cfg, count
 
 
 def minor_count(preset: str) -> int:
@@ -274,7 +276,7 @@ def _minor_rows(cfg: Config, size: int, cols: tuple[int, ...]) -> tuple[int, ...
 def iter_descriptors(preset: str, limit: Optional[int] = None) -> Iterator[MinorDescriptor]:
     """Stream lifting generator descriptors in deterministic order."""
     emitted = 0
-    for tag, deleted, size, qmode, cfg, _count in _recipe_matrices(preset):
+    for deleted, size, qmode, cfg, _count in _recipe_matrices(preset):
         for cols in combinations(range(cfg.d), size):
             rows = _minor_rows(cfg, size, cols)
             if qmode == "symbolic":
@@ -284,7 +286,7 @@ def iter_descriptors(preset: str, limit: Optional[int] = None) -> Iterator[Minor
             for a in assigns:
                 if limit is not None and emitted >= limit:
                     return
-                yield MinorDescriptor(preset, tag, deleted, rows, cols, a)
+                yield MinorDescriptor(preset, deleted, rows, cols, a)
                 emitted += 1
 
 
@@ -295,10 +297,10 @@ def sample_descriptors(preset: str, count: int, seed: int) -> list[MinorDescript
     weights = [m[-1] for m in matrices]
     out = []
     for _ in range(count):
-        (tag, deleted, size, qmode, cfg, _count), = rng.choices(matrices, weights=weights, k=1)
+        (deleted, size, qmode, cfg, _count), = rng.choices(matrices, weights=weights, k=1)
         cols = tuple(sorted(rng.sample(range(cfg.d), size)))
         assign = None if qmode == "symbolic" else tuple(rng.randrange(1, 4) for _ in range(cfg.d))
-        out.append(MinorDescriptor(preset, tag, deleted, _minor_rows(cfg, size, cols), cols, assign))
+        out.append(MinorDescriptor(preset, deleted, _minor_rows(cfg, size, cols), cols, assign))
     return out
 
 
@@ -306,25 +308,21 @@ def eval_descriptor(
     desc: MinorDescriptor, gamma: Realization, q: Optional[Vec3] = None
 ) -> Fraction:
     """Evaluate the descriptor's minor at gamma (gamma indexed by the
-    descriptor's own configuration, as `MinorDescriptor.restrict` gives it).
-
-    Only the selected rows and columns are built, numerically; q is the
-    direction for a symbolic-q descriptor and is ignored otherwise.
+    descriptor's own configuration, as `MinorDescriptor.restrict` gives it):
+    the `LiftMatrix.minor_eval` of its matrix, whose q is one basis vector
+    per column or, for a symbolic-q descriptor, q.
     """
     # Stays on Fraction rows until perfbench bounds its records (ROADMAP
     # item 1).  Integer rows gave identical values 4.9x faster (420 -> 86 us
     # per call), but perfbench keeps one record per verdict, so verify-named
     # went from 3.69 to 5.55 verdicts_per_ref and from 47 to 57 peak_rss_mb,
     # past its 10% bound (medians of 3 pairs, 2 vCPU, Python 3.11).
-    cfg = _matrix_config(desc.preset, desc.deleted)
-    _check_minor(desc.rows, desc.cols, len(cfg.circuits3()), cfg.d)
-    if desc.q_assignment is not None:
-        q_cols = tuple(BASIS[i - 1] for i in desc.q_assignment)
-    elif q is None:
-        raise ValueError("descriptor has a symbolic q but no q value given")
+    if desc.q_assignment is None:
+        scheme = QScheme.symbolic()
     else:
-        q_cols = (q,) * cfg.d
-    return det_exact(_numeric_rows(cfg, gamma, q_cols, desc.rows, desc.cols))
+        scheme = QScheme.per_col(tuple(BASIS[i - 1] for i in desc.q_assignment))
+    m = lift_matrix(_matrix_config(desc.preset, desc.deleted), scheme)
+    return m.minor_eval(desc.rows, desc.cols, gamma, q)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +388,7 @@ def _integer_lift_rows(cfg: Config, gamma: Realization, by_q) -> list[list[int]]
 
     With the integer columns g_c = s_c * gamma_c (`_integer_view`) and the
     integer q' = s_q * q, entry (circuit, c) is the signed bracket [u v q'] =
-    dot(g_u, cross(g_v, q')) of the `_numeric_rows` layout, so a row is the
+    dot(g_u, cross(g_v, q')) of the `_circuit_rows` layout, so a row is the
     Fraction row of its circuit times s_q and the s_c over the circuit, with
     column c divided by s_c.
 

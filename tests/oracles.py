@@ -24,6 +24,12 @@ def sha256_lines(lines: Iterable[str]) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
+def expanded_values(m, gamma: Realization, q=None) -> list:
+    """Reference for LiftMatrix.evaluate: the expanded bracket polynomials of
+    the liftability matrix m, each evaluated at gamma (and q)."""
+    return [[p.eval(gamma, q) for p in row] for row in m.entries]
+
+
 def subset_has_cycle_dfs(cfg: Config, subset: Iterable[int]) -> bool:
     """Independent cross-check of config.subset_has_cycle: a depth-first
     search of the same point-line incidence graph, which has a cycle iff the

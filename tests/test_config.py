@@ -1,11 +1,14 @@
+import os
 import random
 import subprocess
 import sys
 from collections import Counter
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import bracketforge
 from bracketforge.config import (
     CactusReport,
     Config,
@@ -279,7 +282,8 @@ def test_cactus_check_matches_networkx():
 
 def test_import_does_not_load_networkx():
     code = "import sys, bracketforge; sys.exit('networkx' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(bracketforge.__file__).parent.parent))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_q_points():

@@ -29,6 +29,8 @@ from bracketforge import poly
 from bracketforge.linalg import E1, E2, E3, Realization, cross, kernel_basis, rank, vadd, vec3
 from bracketforge.poly import Q_COL, bracket
 
+from oracles import expanded_values
+
 
 def test_matrix_shape_and_row_support():
     cfg = preset("qs")
@@ -66,7 +68,7 @@ def test_concrete_matches_symbolic():
         g = Realization(
             tuple(vec3(*(F(rng.randint(-5, 5)) for _ in range(3))) for _ in range(6))
         )
-        assert sym.evaluate(g, q) == conc.evaluate(g)
+        assert sym.evaluate(g, q) == conc.evaluate(g) == expanded_values(sym, g, q)
 
 
 def test_per_column_scheme_length_must_equal_d():

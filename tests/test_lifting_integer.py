@@ -3,7 +3,7 @@
 `lift_dim`, `construct_lifting` and `trivial_lifting_dim` build the
 liftability matrix at gamma from the integer columns of the realization and
 the integer form of q.  The Fraction path they replaced (rank and kernel of
-`_numeric_rows` with q in every column) stays here as the oracle: every
+`LiftMatrix.evaluate` with a symbolic q) stays here as the oracle: every
 verdict must be byte-identical to it, and the integer rows must be the
 Fraction rows rescaled by the column, row and q multipliers.
 """
@@ -29,9 +29,10 @@ from bracketforge.lifting import (
     LiftingError,
     _clear_q,
     _integer_lift_rows,
-    _numeric_rows,
+    QScheme,
     construct_lifting,
     lift_dim,
+    lift_matrix,
     q_general_position,
     trivial_lifting_dim,
 )
@@ -115,11 +116,11 @@ def criterion_6_inputs() -> list:
 
 
 # ---------------------------------------------------------------------------
-# The Fraction oracle: the verdicts as computed from `_numeric_rows`
+# The Fraction oracle: the verdicts as computed from `LiftMatrix.evaluate`
 
 
 def oracle_rows(cfg, gamma, q):
-    return _numeric_rows(cfg, gamma, (q,) * cfg.d)
+    return lift_matrix(cfg, QScheme.symbolic()).evaluate(gamma, q)
 
 
 def oracle_lift_dim(cfg, gamma, q) -> int:
@@ -231,7 +232,7 @@ def test_verdicts_never_build_fraction_rows(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("a single-q verdict built Fraction rows")
 
-    monkeypatch.setattr(lifting, "_numeric_rows", fail)
+    monkeypatch.setattr(lifting.LiftMatrix, "_values", fail)
     inputs = criterion_6_inputs()[::4] + distinct_denominator_inputs() + no_circuit_inputs()
     for cfg, gamma, q in inputs:
         assert lift_dim(cfg, gamma, q) >= 0

@@ -1,9 +1,10 @@
 """The numeric evaluation path against the symbolic path it replaced.
 
-Verdicts evaluate bracket combinations as sum c * prod det3, and liftability
-minors from numerically built rows.  The expanded polynomials stay as the
-reference.  Each comparison runs at exact rank-3 realizations, where most
-values are zero, and at generic integer points, where they are not.
+Verdicts evaluate bracket combinations as sum c * prod det3, and the
+liftability matrix and its minors from numerically built rows
+(`LiftMatrix._values`).  The expanded polynomials stay as the reference.
+Each comparison runs at exact rank-3 realizations, where most values are
+zero, and at generic integer points, where they are not.
 """
 
 import random
@@ -25,12 +26,14 @@ from bracketforge.lifting import (
     LiftingError,
     MinorDescriptor,
     QScheme,
-    _numeric_rows,
     eval_descriptor,
     lift_matrix,
     sample_descriptors,
 )
-from bracketforge.linalg import BASIS, Realization, vec3
+from bracketforge.linalg import BASIS, Realization, det_exact, vec3
+from bracketforge.poly import BracketPoly
+
+from oracles import expanded_values
 
 
 def generic_points(seed: int, d: int, n: int = 2) -> list[Realization]:
@@ -95,9 +98,34 @@ def test_eval_descriptor_matches_symbolic_minor(preset_name, sampler, q):
         for gamma in full:
             g = d.restrict(gamma)
             value = eval_descriptor(d, g, q)
-            assert value == m.minor_eval(d.rows, d.cols, g, q), d
+            expanded = expanded_values(m, g, q)
+            assert value == det_exact([[expanded[r][c] for c in d.cols] for r in d.rows]), d
             nonzero += value != 0
     assert nonzero > 0
+
+
+@pytest.mark.parametrize(
+    "preset_name, sampler, q",
+    [
+        ("pascal", pascal_family_sample, None),
+        ("pappus", pappus_realization, None),
+        ("qs", qs_realization, vec3(2, -3, 5)),
+    ],
+)
+def test_numeric_path_expands_no_polynomial(monkeypatch, preset_name, sampler, q):
+    """evaluate, minor_eval and eval_descriptor build no bracket polynomial
+    and evaluate none; for Pappus the descriptor deletes a point."""
+    def fail(*args, **kwargs):
+        raise AssertionError("a numeric path evaluated a polynomial")
+
+    monkeypatch.setattr(BracketPoly, "eval", fail)
+    d = next(d for d in sample_descriptors(preset_name, 50, seed=1)
+             if (d.deleted is not None) == (preset_name == "pappus"))
+    m = descriptor_matrix(d)
+    g = d.restrict(sampler(0))
+    assert len(m.evaluate(g, q)) == m.shape[0]
+    assert m.minor_eval(d.rows, d.cols, g, q) == eval_descriptor(d, g, q)
+    assert "entries" not in m.__dict__
 
 
 def test_eval_descriptor_input_checks():
@@ -107,30 +135,29 @@ def test_eval_descriptor_input_checks():
     [sym] = sample_descriptors("qs", 1, seed=0)
     with pytest.raises(ValueError):
         eval_descriptor(sym, qs_realization(0))
-    bad = MinorDescriptor("qs", "full", None, (0, 1, 2, 3), (0, 1, 2, 6), None)
+    bad = MinorDescriptor("qs", None, (0, 1, 2, 3), (0, 1, 2, 6), None)
     with pytest.raises(ValueError):
         eval_descriptor(bad, qs_realization(0), vec3(1, 2, 3))
     # a repeated column gives a singular minor, as in the symbolic matrix
-    twice = MinorDescriptor("qs", "full", None, (0, 1, 2, 3), (0, 1, 1, 2), None)
+    twice = MinorDescriptor("qs", None, (0, 1, 2, 3), (0, 1, 1, 2), None)
     assert eval_descriptor(twice, generic_points(1, 6, 1)[0], vec3(1, 2, 3)) == 0
 
 
 @pytest.mark.parametrize("name", ["qs", "pascal", "line:5", "cycle:4:4", "cactus14"])
 def test_numeric_rows_match_concrete_lift_matrix(name):
-    """The numeric rows, and the matrix with q fixed in every column, are the
-    symbolic matrix evaluated at q."""
+    """The numeric rows, with a symbolic q or q fixed in every column, are the
+    expanded symbolic matrix evaluated at q."""
     cfg = preset(name)
     q = vec3(3, -1, 7)
     m = lift_matrix(cfg, QScheme.symbolic())
     uniform = lift_matrix(cfg, QScheme.per_col((q,) * cfg.d))
     points = [collinear_realization(cfg, 0)] + generic_points(2, cfg.d)
     for gamma in points:
-        assert _numeric_rows(cfg, gamma, (q,) * cfg.d) == m.evaluate(gamma, q)
-        assert uniform.evaluate(gamma) == m.evaluate(gamma, q)
+        full = expanded_values(m, gamma, q)
+        assert m.evaluate(gamma, q) == full
+        assert uniform.evaluate(gamma) == full
     # a submatrix is the selected rows and columns of the full one
-    gamma = points[-1]
-    full = m.evaluate(gamma, q)
     rows = tuple(range(0, len(full), 2))
     for cols in list(combinations(range(cfg.d), 3))[:5]:
-        sub = _numeric_rows(cfg, gamma, (q,) * cfg.d, rows, cols)
+        sub = m._values(gamma, q, rows, cols)
         assert sub == [[full[r][c] for c in cols] for r in rows]
