@@ -31,7 +31,6 @@ from .linalg import (
     kernel_basis,
     meet_lines,
     rank,
-    rank_vectors,
     rref,
     vec3,
 )

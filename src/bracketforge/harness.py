@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, partial
 from itertools import combinations
-from math import gcd
 from typing import Callable, Iterable, Optional, TypeVar
 
 from .config import Config, admissible_ordering, cactus_check, free_glue, preset, q_points
@@ -28,12 +27,15 @@ from .linalg import (
     Realization,
     Vec3,
     _integer_rows,
+    _primitive,
     cross,
     det3,
+    dot,
     meet_lines,
-    normalize_projective,
     proportional,
     vec3,
+    vscale,
+    vsub,
 )
 
 
@@ -276,7 +278,7 @@ def family_limit_check(x: Fraction, y: Fraction):
         cols = list(gamma.cols)
         for old in (2, 7):
             idx = old - 2  # column order is old labels 2..9
-            cols[idx] = vec3(*(eps * c for c in cols[idx]))
+            cols[idx] = vscale(eps, cols[idx])
         dist = sum(
             abs(a - b)
             for col_g, col_t in zip(cols, target.cols)
@@ -312,11 +314,13 @@ def counterexample_realization() -> Realization:
     return Realization(tuple(vec3(*_COUNTEREXAMPLE_COLUMNS[i]) for i in range(1, 15)))
 
 
-def _primitive(v: Vec3) -> tuple[int, ...]:
-    """Integer representative of a projective point, first coordinate > 0."""
-    (ints,), _ = _integer_rows([normalize_projective(v)])
-    g = gcd(*ints) or 1
-    return tuple(c // g for c in ints)
+def _representative(v: Vec3) -> tuple[int, ...]:
+    """Integer representative of a projective point: the primitive integer
+    vector on its line whose first nonzero coordinate is positive."""
+    (ints,), _ = _integer_rows([v])
+    ints = _primitive(ints)
+    sign = -1 if next((c for c in ints if c), 0) < 0 else 1
+    return tuple(sign * c for c in ints)
 
 
 @dataclass
@@ -352,8 +356,8 @@ def replay_cactus_counterexample(check_gm_depth: int = 1) -> ReplayReport:
     l2 = meet_lines(l3, g(5), g(13), g(14))
     raw = det3(l1, l2, g(4))
     rep = det3(
-        tuple(map(Fraction, _primitive(l1))),
-        tuple(map(Fraction, _primitive(l2))),
+        tuple(map(Fraction, _representative(l1))),
+        tuple(map(Fraction, _representative(l2))),
         g(4),
     )
     ok, _ = in_circuit_variety(cfg, gamma)
@@ -508,6 +512,22 @@ def qs_realization(seed: int = 0) -> Realization:
     return _retrying(_complete_quadrilateral, seed)
 
 
+def _flat_quadrilateral(rng: random.Random) -> Realization:
+    """A complete quadrilateral projected from a generic center onto the
+    generic plane h = 0; raises FixtureError if the sample degenerates."""
+    cols = _complete_quadrilateral(rng).cols
+    center = vec3(*(_rand_frac(rng) for _ in range(3)))
+    h = tuple(_rand_frac(rng) for _ in range(3))
+    hc = dot(h, center)
+    if hc == 0:
+        raise FixtureError("the center lies on the image line")
+    flat = Realization(tuple(vsub(vscale(hc, v), vscale(dot(h, v), center)) for v in cols))
+    # every image lies in the plane h = 0, so distinct points give rank 2
+    if any(not any(cross(a, b)) for a, b in combinations(flat.cols, 2)):
+        raise FixtureError("two projected points coincide")
+    return flat
+
+
 def quadrilateral_set_flat(seed: int = 0) -> Realization:
     """A rank-2 quadrilateral set: the section of a complete quadrilateral.
 
@@ -516,28 +536,7 @@ def quadrilateral_set_flat(seed: int = 0) -> Realization:
     generic line.  The image satisfies every circuit, spans only a plane of
     vectors, and is liftable back to the original by construction.
     """
-    def attempt(rng: random.Random) -> Realization:
-        cols = _complete_quadrilateral(rng).cols
-        center = vec3(*(_rand_frac(rng) for _ in range(3)))
-        h = tuple(_rand_frac(rng) for _ in range(3))
-
-        def form(v: Vec3) -> Fraction:
-            return sum(a * b for a, b in zip(h, v))
-
-        if form(center) == 0:
-            raise FixtureError("the center lies on the image line")
-        flat = Realization(
-            tuple(
-                vec3(*(form(center) * v[r] - form(v) * center[r] for r in range(3)))
-                for v in cols
-            )
-        )
-        # every image lies in the plane h = 0, so distinct points give rank 2
-        if any(not any(cross(a, b)) for a, b in combinations(flat.cols, 2)):
-            raise FixtureError("two projected points coincide")
-        return flat
-
-    return _retrying(attempt, seed)
+    return _retrying(_flat_quadrilateral, seed)
 
 
 def collinear_realization(cfg: Config, seed: int = 0) -> Realization:

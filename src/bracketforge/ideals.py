@@ -21,7 +21,6 @@ class HypothesisError(ValueError):
 
 @dataclass
 class GeneratorSet:
-    cfg: Config
     circuit: list[BracketCombo]
     gc: list[BracketCombo]
 
@@ -147,8 +146,4 @@ def cactus_generators(cfg: Config, depth: int = DEFAULT_GM_DEPTH) -> GeneratorSe
         )
     gens = gm_generators(cfg, depth)
     ncirc = len(cfg.circuits3())
-    return GeneratorSet(
-        cfg=cfg,
-        circuit=gens[:ncirc],
-        gc=gens[ncirc:],
-    )
+    return GeneratorSet(circuit=gens[:ncirc], gc=gens[ncirc:])

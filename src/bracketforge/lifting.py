@@ -20,11 +20,12 @@ of its matrix, with its own q per column: `eval_descriptor` is that matrix's
 `MinorDescriptor.restrict` maps a realization of the preset to one of the
 descriptor's matrix.  The single-q verdicts (lifting dimensions, liftings)
 share one prologue, `_check_lifting_input`: it checks the input, clears q,
-takes cross(g_v, q) for every integer column g_v once, and returns the
-matrix built on the realization's integer columns and the integer form of
-q; its rows differ from Fraction rows only by positive row scalings and one
-positive scaling per column, which keep the rank and scale each kernel
-vector back exactly.
+and returns the integer form of q and cross(g_v, q) for every integer
+column g_v, taken once.  The verdict that reads the liftability matrix
+builds it from these crosses on the realization's integer columns
+(`_integer_lift_rows`); its rows differ from Fraction rows only by positive
+row scalings and one positive scaling per column, which keep the rank and
+scale each kernel vector back exactly.
 Of the C(k, 3) rows of a k-point line it builds only the k - 2 frame rows,
 the circuits {a, b, c} of one independent pair (a, b): once the input is
 checked (every circuit vanishes, q in general position), the
@@ -367,9 +368,9 @@ def _general_position(cfg: Config, gamma: Realization, q: Sequence[int], by_q) -
 
 
 def _check_lifting_input(cfg: Config, gamma: Realization, q: Vec3):
-    """Raise LiftingError unless a single-q verdict applies; return (rows,
-    q', s_q): the frame rows of the liftability matrix at gamma
-    (`_integer_lift_rows`) and q cleared by `_clear_q`."""
+    """Raise LiftingError unless a single-q verdict applies; return (q',
+    s_q, by_q) of `_clear_q`, from which a verdict that reads the liftability
+    matrix builds its frame rows (`_integer_lift_rows`)."""
     cfg._require_simple()
     if gamma.d != cfg.d:
         raise LiftingError("realization size does not match configuration")
@@ -379,7 +380,7 @@ def _check_lifting_input(cfg: Config, gamma: Realization, q: Vec3):
     q_int, s_q, by_q = _clear_q(gamma, q)
     if not _general_position(cfg, gamma, q_int, by_q):
         raise LiftingError("q is not in general position for this realization")
-    return _integer_lift_rows(cfg, gamma, by_q), q_int, s_q
+    return q_int, s_q, by_q
 
 
 def _integer_lift_rows(cfg: Config, gamma: Realization, by_q) -> list[list[int]]:
@@ -429,8 +430,8 @@ def _integer_lift_rows(cfg: Config, gamma: Realization, by_q) -> list[list[int]]
 
 
 def lift_dim(cfg: Config, gamma: Realization, q: Vec3) -> int:
-    rows, _, _ = _check_lifting_input(cfg, gamma, q)
-    return cfg.d - _rank(rows)
+    _, _, by_q = _check_lifting_input(cfg, gamma, q)
+    return cfg.d - _rank(_integer_lift_rows(cfg, gamma, by_q))
 
 
 # ---------------------------------------------------------------------------
@@ -461,9 +462,10 @@ def construct_lifting(cfg: Config, gamma: Realization, q: Vec3) -> Optional[Real
     (no 3-circuit, or only lines with no independent pair) every vector is
     in the kernel.
     """
-    rows, q_int, s_q = _check_lifting_input(cfg, gamma, q)
+    q_int, s_q, by_q = _check_lifting_input(cfg, gamma, q)
     if gamma.rank() > 2:
         raise LiftingError("construct_lifting expects a planar (rank <= 2) collection")
+    rows = _integer_lift_rows(cfg, gamma, by_q)
     for z in _integer_kernel(rows or [[0] * cfg.d], gamma._integer_view[1]):
         lifted = _lifted(gamma, z, q_int, s_q)
         if lifted.rank() == 3:
@@ -487,9 +489,9 @@ def trivial_lifting_dim(cfg: Config, gamma: Realization, q: Vec3) -> int:
     dimension is rank(gamma) = 2.  Otherwise every lifting stays inside
     span(gamma, q), and the whole kernel counts.
     """
-    rows, q_int, _ = _check_lifting_input(cfg, gamma, q)
+    q_int, _, by_q = _check_lifting_input(cfg, gamma, q)
     if gamma.rank() > 2:
         raise LiftingError("trivial_lifting_dim expects a planar (rank <= 2) collection")
     if _rank(gamma._integer_view[0] + (q_int,)) == 3:
         return 2
-    return cfg.d - _rank(rows)
+    return cfg.d - _rank(_integer_lift_rows(cfg, gamma, by_q))

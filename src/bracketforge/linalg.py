@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 Vec3 = tuple[Fraction, Fraction, Fraction]
 
@@ -48,10 +48,6 @@ E1: Vec3 = vec3(1, 0, 0)
 E2: Vec3 = vec3(0, 1, 0)
 E3: Vec3 = vec3(0, 0, 1)
 BASIS: tuple[Vec3, Vec3, Vec3] = (E1, E2, E3)
-
-
-def vadd(u: Vec3, v: Vec3) -> Vec3:
-    return (u[0] + v[0], u[1] + v[1], u[2] + v[2])
 
 
 def vsub(u: Vec3, v: Vec3) -> Vec3:
@@ -84,26 +80,14 @@ def det3(u: Vec3, v: Vec3, w: Vec3) -> Fraction:
     return u0 * (v1 * w2 - v2 * w1) + u1 * (v2 * w0 - v0 * w2) + u2 * (v0 * w1 - v1 * w0)
 
 
-def is_zero(u: Vec3) -> bool:
-    return u == ZERO3 or all(c == 0 for c in u)
-
-
 def proportional(u: Vec3, v: Vec3) -> bool:
     """Projective equality: u and v are nonzero scalar multiples of each other.
 
     Zero vectors are only proportional to zero vectors.
     """
-    if is_zero(u) or is_zero(v):
-        return is_zero(u) and is_zero(v)
+    if not any(u) or not any(v):
+        return not any(u) and not any(v)
     return cross(u, v) == ZERO3
-
-
-def normalize_projective(u: Vec3) -> Vec3:
-    """Scale u so its first nonzero coordinate is 1 (canonical representative)."""
-    for c in u:
-        if c != 0:
-            return vscale(Fraction(1, 1) / c, u)
-    return u
 
 
 def meet_lines(a1: Vec3, a2: Vec3, b1: Vec3, b2: Vec3) -> Vec3:
@@ -301,11 +285,6 @@ def det_exact(m: Sequence[Sequence[Fraction]]) -> Fraction:
             a[i][k] = 0
         prev = a[k][k]
     return Fraction(sign * a[n - 1][n - 1], math.prod(mults))
-
-
-def rank_vectors(vectors: Iterable[Vec3]) -> int:
-    """Rank of the span of a collection of vectors in Q^3."""
-    return rank([list(v) for v in vectors])
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Reference implementations the tests check the package against, and the
-helpers several test files share: random realizations and golden digests."""
+helpers several test files share: random realizations, golden digests and
+the configurations of criterion 6."""
 
 import hashlib
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable
 
-from bracketforge.config import Config, _point_line_graph
+from bracketforge.config import Config, _point_line_graph, preset
+from bracketforge.harness import random_cactus
 from bracketforge.linalg import Realization, vec3
 
 
@@ -16,6 +18,22 @@ def rand_realization(rng, d: int) -> Realization:
         tuple(vec3(*(Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(3)))
               for _ in range(d))
     )
+
+
+# the configurations of acceptance criterion 6, on which the lifting
+# verdicts are checked
+CRITERION_6_CONFIGS = [
+    preset("line:4"),
+    preset("line:6"),
+    preset("cycle:3:3"),
+    preset("cycle:4:4"),
+    random_cactus(0),
+    random_cactus(1),
+    random_cactus(2),
+    preset("cactus14"),
+    preset("pascal").delete({7}),
+    preset("pappus").delete({1, 9}),
+]
 
 
 def sha256_lines(lines: Iterable[str]) -> str:
@@ -71,3 +89,43 @@ def dependency_signature_scan(cfg: Config) -> frozenset[frozenset[int]]:
         if cfg.is_dependent_triple(t):
             sig.add(frozenset(t))
     return frozenset(sig)
+
+
+def fraction_rref(m):
+    """Gauss-Jordan elimination with a Fraction division at every step: the
+    reference the integer elimination must reproduce exactly."""
+    a = [[Fraction(x) for x in row] for row in m]
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        pr = next((i for i in range(r, rows) if a[i][c] != 0), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        inv = Fraction(1, 1) / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(rows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+def fraction_kernel(m):
+    """The kernel basis read off fraction_rref: one vector per free column."""
+    a, pivots = fraction_rref(m)
+    cols = len(m[0])
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        v = [Fraction(0)] * cols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -a[r][fc]
+        basis.append(v)
+    return basis

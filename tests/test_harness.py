@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 from itertools import combinations, product
 
@@ -8,6 +9,7 @@ from bracketforge.gc import gm_generators
 from bracketforge.harness import (
     RETRY_CAP,
     FixtureError,
+    _representative,
     _retrying,
     cactus_realization,
     collinear_realization,
@@ -186,6 +188,30 @@ def test_counterexample_replay_exact_values():
     assert rep.det_exact_representatives == -455
     assert rep.in_circuit_variety
     assert rep.gm_vanishing["nonvanishing"] == []
+
+
+def representative_by_normalizing(v):
+    """The integer representative as the first nonzero coordinate scaled to
+    1, denominators cleared, then divided by the gcd."""
+    first = next((c for c in v if c), F(1))
+    w = [c / first for c in v]
+    den = math.lcm(*(c.denominator for c in w))
+    ints = [c.numerator * (den // c.denominator) for c in w]
+    g = math.gcd(*ints) or 1
+    return tuple(c // g for c in ints)
+
+
+@pytest.mark.parametrize(
+    "v, want",
+    [
+        (vec3(-2, 4, 6), (1, -2, -3)),  # first nonzero coordinate negative
+        (vec3(0, F(-3, 2), 6), (0, 1, -4)),  # first coordinate zero
+        (vec3(F(4, 3), F(8, 9), F(-2, 3)), (6, 4, -3)),  # Fractions with common content
+        (vec3(0, 0, 0), (0, 0, 0)),
+    ],
+)
+def test_representative(v, want):
+    assert _representative(v) == representative_by_normalizing(v) == want
 
 
 def test_counterexample_point_is_in_circuit_variety():

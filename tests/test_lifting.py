@@ -10,7 +10,6 @@ from bracketforge.harness import (
     pascal_family_sample,
     qs_realization,
     quadrilateral_set_flat,
-    random_cactus,
 )
 from bracketforge.lifting import (
     LiftingError,
@@ -26,10 +25,10 @@ from bracketforge.lifting import (
     trivial_lifting_dim,
 )
 from bracketforge import poly
-from bracketforge.linalg import E1, E2, E3, Realization, cross, kernel_basis, rank, vadd, vec3
+from bracketforge.linalg import E1, E2, E3, Realization, cross, kernel_basis, rank, vec3
 from bracketforge.poly import Q_COL, bracket
 
-from oracles import expanded_values
+from oracles import CRITERION_6_CONFIGS, expanded_values
 
 
 def test_matrix_shape_and_row_support():
@@ -130,7 +129,7 @@ def test_q_general_position():
     assert not q_general_position(cfg, g, g.col(1))
     # nor is q = 0, or a q on the realized line that is on none of its points
     assert not q_general_position(cfg, g, vec3(0, 0, 0))
-    on_line = vadd(g.col(1), g.col(2))
+    on_line = tuple(a + b for a, b in zip(g.col(1), g.col(2)))
     assert all(any(cross(g.col(p), on_line)) for p in cfg.points)
     assert not q_general_position(cfg, g, on_line)
     for verdict in (lift_dim, construct_lifting, trivial_lifting_dim):
@@ -144,20 +143,6 @@ def test_lift_dim_matches_dimension_formula_on_a_line():
     q = generic_q(g, 1, cfg)
     assert lift_dim(cfg, g, q) == nilpotent_dim(cfg) == 2
     assert trivial_lifting_dim(cfg, g, q) == 2
-
-
-CRITERION_6_CONFIGS = [
-    preset("line:4"),
-    preset("line:6"),
-    preset("cycle:3:3"),
-    preset("cycle:4:4"),
-    random_cactus(0),
-    random_cactus(1),
-    random_cactus(2),
-    preset("cactus14"),
-    preset("pascal").delete({7}),
-    preset("pappus").delete({1, 9}),
-]
 
 
 def check_lifting_verdicts(cfg, g, q):

@@ -44,13 +44,10 @@ from bracketforge.linalg import (
     dot,
     kernel_basis,
     rank,
-    rank_vectors,
     vec3,
 )
 
-from oracles import sha256_lines
-from test_lifting import CRITERION_6_CONFIGS
-from test_linalg import fraction_rref
+from oracles import CRITERION_6_CONFIGS, fraction_rref, sha256_lines
 
 # the names the benchmark's lift-kernel workload gives CRITERION_6_CONFIGS
 LIFT_KERNEL_NAMES = ["line:4", "line:6", "cycle:3:3", "cycle:4:4", "random_cactus(0)",
@@ -138,7 +135,7 @@ def oracle_construct(cfg, gamma, q):
 
 
 def oracle_trivial(cfg, gamma, q) -> int:
-    if rank_vectors(gamma.cols + (q,)) == 3:
+    if Realization(gamma.cols + (q,)).rank() == 3:
         return 2
     return oracle_lift_dim(cfg, gamma, q)
 
@@ -238,6 +235,16 @@ def test_verdicts_never_build_fraction_rows(monkeypatch):
         assert lift_dim(cfg, gamma, q) >= 0
         assert trivial_lifting_dim(cfg, gamma, q) >= 0
         construct_lifting(cfg, gamma, q)
+
+
+def test_trivial_lifting_dim_on_a_spanning_q_builds_no_rows(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("trivial_lifting_dim built rows it does not read")
+
+    monkeypatch.setattr(lifting, "_integer_lift_rows", fail)
+    cfg = random_cactus(0)
+    gamma = collinear_realization(cfg, 0)
+    assert trivial_lifting_dim(cfg, gamma, generic_q(gamma, 0, cfg)) == 2
 
 
 def coincide(gamma: Realization, points, onto: int, scales) -> Realization:

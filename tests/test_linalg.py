@@ -21,53 +21,14 @@ from bracketforge.linalg import (
     meet_lines,
     proportional,
     rank,
-    rank_vectors,
     rref,
     vec3,
 )
 
+from oracles import fraction_kernel, fraction_rref
+
 fracs = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 vecs = st.tuples(fracs, fracs, fracs)
-
-
-def fraction_rref(m):
-    """Gauss-Jordan elimination with a Fraction division at every step: the
-    reference the integer elimination must reproduce exactly."""
-    a = [[F(x) for x in row] for row in m]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        pr = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = F(1, 1) / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    return a, pivots
-
-
-def fraction_kernel(m):
-    """The kernel basis read off fraction_rref: one vector per free column."""
-    a, pivots = fraction_rref(m)
-    cols = len(m[0])
-    basis = []
-    for fc in (c for c in range(cols) if c not in pivots):
-        v = [F(0)] * cols
-        v[fc] = F(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -a[r][fc]
-        basis.append(v)
-    return basis
 
 
 entries = st.one_of(st.integers(-9, 9), fracs)
@@ -410,11 +371,6 @@ def test_det_exact_matches_det3():
         assert det_exact(m) == det3(*cols)
 
 
-def test_rank_vectors():
-    assert rank_vectors([vec3(1, 0, 0), vec3(0, 1, 0), vec3(1, 1, 0)]) == 2
-    assert rank_vectors([vec3(1, 0, 0), vec3(0, 1, 0), vec3(0, 0, 1)]) == 3
-
-
 def test_realization_json_roundtrip():
     g = Realization((vec3(1, 2, 3), vec3(F(1, 2), 0, -1), vec3(0, 0, 0)))
     back = Realization.from_json(g.to_json())
@@ -454,4 +410,4 @@ def test_realization_integer_view(cols):
     for c, v, m in zip(gamma.cols, ints, mults):
         assert m > 0 and all(type(x) is int for x in v)
         assert tuple(F(x, m) for x in v) == c
-    assert gamma.rank() == rank_vectors(gamma.cols)
+    assert gamma.rank() == len(fraction_rref([list(c) for c in gamma.cols])[1])
