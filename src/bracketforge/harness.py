@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, partial
 from itertools import combinations
-from typing import Callable, Iterable, Optional, TypeVar
+from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 from .config import Config, admissible_ordering, cactus_check, free_glue, preset, q_points
 from .gc import gm_generators
@@ -50,16 +50,17 @@ RETRY_CAP = 100  # attempts a sampler makes before giving up
 # Membership
 
 
-def _circuit_witness(cfg: Config, gamma: Realization) -> Optional[str]:
-    """The first dependency of cfg violated by gamma, or None.
+def _circuit_witness(cfg: Config, cols: Sequence[Sequence[int]]) -> Optional[str]:
+    """The first dependency of cfg violated by the integer columns cols, or
+    None.
 
-    Reads gamma's integer columns: a nonzero multiple of a column keeps the
-    zero pattern of every cross product and determinant.  A dependent triple
-    that is not a 3-circuit holds a loop or a parallel pair, checked first,
-    so once those hold it vanishes."""
-    if gamma.d != cfg.d:
+    The columns are a realization's integer view or any nonzero multiples of
+    its columns: a nonzero multiple of a column keeps the zero pattern of
+    every cross product and determinant, so the witness is the
+    realization's.  A dependent triple that is not a 3-circuit holds a loop
+    or a parallel pair, checked first, so once those hold it vanishes."""
+    if len(cols) != cfg.d:
         raise FixtureError("realization size does not match configuration")
-    cols = gamma._integer_view[0]
     for p in sorted(cfg.loops):
         if any(cols[p - 1]):
             return f"loop {p} is nonzero"
@@ -79,7 +80,7 @@ def in_circuit_variety(cfg: Config, gamma: Realization):
     Checks 3-circuits, zero loop columns, and pairwise dependence inside
     parallel classes; witness names the first violated dependency.
     """
-    witness = _circuit_witness(cfg, gamma)
+    witness = _circuit_witness(cfg, gamma._integer_view[0])
     return witness is None, witness
 
 
@@ -90,10 +91,10 @@ def in_realization_space(cfg: Config, gamma: Realization):
     independence across parallel classes, and nonzero determinant for every
     independent triple (every basis of the configuration).
     """
-    witness = _circuit_witness(cfg, gamma)
+    cols = gamma._integer_view[0]
+    witness = _circuit_witness(cfg, cols)
     if witness is not None:
         return False, witness
-    cols = gamma._integer_view[0]
     for p in cfg.nonloop_points:
         if not any(cols[p - 1]):
             return False, f"non-loop point {p} is the zero vector"

@@ -33,8 +33,13 @@ Grassmann-Pluecker relation puts the line's other rows in their span, so the
 rank, the RREF and the kernel are the whole matrix's.  Each row has three nonzeros; the rank sets
 aside the rows that own a column (`linalg._rank`), and the elimination
 (`linalg._eliminate`) updates only the rows with a nonzero in the pivot
-column, keeping each row primitive.  A lifting's columns gamma_i + z_i q are
-built from the same integer columns, one Fraction per coordinate.
+column, keeping each row primitive.  `construct_lifting` tries each kernel
+vector z on integers: the columns g_i * b_i * s_q + a_i * s_i * q' (z_i =
+a_i / b_i) are positive multiples of gamma_i + z_i q, so their rank
+(`linalg._span_rank`) and their circuit witness (`harness._circuit_witness`)
+are the lifting's, and the Fractions of the returned lifting are built once,
+one per coordinate.  The planar and spanning tests of the liftings take
+`_span_rank` too.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from . import config
 from .config import Config
-from .harness import in_circuit_variety
+from .harness import _circuit_witness, in_circuit_variety
 from .linalg import (
     BASIS,
     Realization,
@@ -57,6 +62,7 @@ from .linalg import (
     _integer_kernel,
     _integer_rows,
     _rank,
+    _span_rank,
     cross,
     det_exact,
     dot,
@@ -438,17 +444,22 @@ def lift_dim(cfg: Config, gamma: Realization, q: Vec3) -> int:
 # Constructing liftings
 
 
-def _lifted(gamma: Realization, z: Sequence[Fraction], q: Sequence[int], s_q: int) -> Realization:
-    """The columns gamma_i + z_i * q' / s_q, one Fraction per coordinate: with
-    gamma_i = g_i / s_i (`_integer_view`), the integer q' and z_i = a_i / b_i,
-    coordinate k is (g_ik * b_i * s_q + a_i * q'_k * s_i) / (s_i * b_i * s_q)."""
+def _lifted_columns(
+    gamma: Realization, z: Sequence[Fraction], q: Sequence[int], s_q: int
+) -> tuple[list[tuple[int, ...]], list[int]]:
+    """(N, den): the columns gamma_i + z_i * q' / s_q are N_i / den_i.
+
+    With gamma_i = g_i / s_i (`_integer_view`), the integer q' and
+    z_i = a_i / b_i (b_i > 0), N_i = g_i * b_i * s_q + a_i * q' * s_i is an
+    integer column and den_i = s_i * b_i * s_q > 0, so N_i is a positive
+    multiple of gamma_i + z_i * q."""
     ints, mults = gamma._integer_view
-    cols = []
+    cols, dens = [], []
     for g, s, zi in zip(ints, mults, z):
         g_mult, q_mult = zi.denominator * s_q, zi.numerator * s
-        den = s * g_mult
-        cols.append(tuple(Fraction(g_mult * x + q_mult * y, den) for x, y in zip(g, q)))
-    return Realization(tuple(cols))
+        cols.append(tuple(g_mult * x + q_mult * y for x, y in zip(g, q)))
+        dens.append(s * g_mult)
+    return cols, dens
 
 
 def construct_lifting(cfg: Config, gamma: Realization, q: Vec3) -> Optional[Realization]:
@@ -461,20 +472,30 @@ def construct_lifting(cfg: Config, gamma: Realization, q: Vec3) -> Optional[Real
     Fraction kernel is theirs with column c times s_c.  With no frame row
     (no 3-circuit, or only lines with no independent pair) every vector is
     in the kernel.
+
+    A kernel vector's lifting is tried on its integer columns N_i
+    (`_lifted_columns`), positive multiples of gamma_i + z_i * q: they have
+    its rank and its circuit witness (`harness._circuit_witness`), so the
+    rank 3 test and the check that the lifting keeps every circuit run on
+    integers, and the Fractions N_ik / den_i of the returned collection are
+    built once.
     """
     q_int, s_q, by_q = _check_lifting_input(cfg, gamma, q)
-    if gamma.rank() > 2:
+    ints, mults = gamma._integer_view
+    if _span_rank(ints) > 2:
         raise LiftingError("construct_lifting expects a planar (rank <= 2) collection")
     rows = _integer_lift_rows(cfg, gamma, by_q)
-    for z in _integer_kernel(rows or [[0] * cfg.d], gamma._integer_view[1]):
-        lifted = _lifted(gamma, z, q_int, s_q)
-        if lifted.rank() == 3:
-            ok, witness = in_circuit_variety(cfg, lifted)
-            if not ok:
+    for z in _integer_kernel(rows or [[0] * cfg.d], mults):
+        cols, dens = _lifted_columns(gamma, z, q_int, s_q)
+        if _span_rank(cols) == 3:
+            witness = _circuit_witness(cfg, cols)
+            if witness is not None:
                 raise LiftingError(
                     f"lifted collection violates a circuit; kernel not exact: {witness}"
                 )
-            return lifted
+            return Realization(tuple(
+                tuple(Fraction(x, den) for x in col) for col, den in zip(cols, dens)
+            ))
     return None
 
 
@@ -490,8 +511,9 @@ def trivial_lifting_dim(cfg: Config, gamma: Realization, q: Vec3) -> int:
     span(gamma, q), and the whole kernel counts.
     """
     q_int, _, by_q = _check_lifting_input(cfg, gamma, q)
-    if gamma.rank() > 2:
+    ints = gamma._integer_view[0]
+    if _span_rank(ints) > 2:
         raise LiftingError("trivial_lifting_dim expects a planar (rank <= 2) collection")
-    if _rank(gamma._integer_view[0] + (q_int,)) == 3:
+    if _span_rank(ints + (q_int,)) == 3:
         return 2
     return cfg.d - _rank(_integer_lift_rows(cfg, gamma, by_q))

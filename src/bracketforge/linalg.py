@@ -13,8 +13,12 @@ nonzero in the pivot column, so a sparse matrix such as a liftability matrix
 entry.  Rank first peels: a row that is the only nonzero of some column is
 independent of the rest, adds 1 and is set aside, which may leave another
 column with one nonzero; only the rows left are eliminated, on the shorter
-side.  det_exact stays Bareiss: exact division by the previous pivot
-leaves the determinant as the last pivot.
+side.  A kernel yields its vectors one at a time, so a caller that stops at
+the first it can use builds no other.  det_exact stays Bareiss: exact
+division by the previous pivot leaves the determinant as the last pivot.
+A set of 3-vectors, such as a Realization's columns, takes its rank from
+`_span_rank` with no elimination: one cross product or one dot product per
+vector.
 A Realization clears its columns' denominators once, on first use
 (`_integer_view`, the integer columns and their multipliers), and the
 membership checks and the bracket and polynomial evaluators read that view.
@@ -30,7 +34,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 Vec3 = tuple[Fraction, Fraction, Fraction]
 
@@ -212,6 +216,21 @@ def _rank(a: Sequence[Sequence[int]]) -> int:
     return peeled + len(_eliminate(list(a), reduce=False))
 
 
+def _span_rank(vectors: Iterable[Vec3]) -> int:
+    """Rank of a set of int or Fraction 3-vectors, one cross or one dot per
+    vector: u is the first nonzero vector, v the first after it with
+    u x v != 0, and the rank is 3 iff some later w has (u x v) . w != 0.
+    The vectors before v lie on span(u), so they have (u x v) . w = 0."""
+    it = iter(vectors)
+    u = next((w for w in it if any(w)), None)
+    if u is None:
+        return 0
+    uv = next((c for c in (cross(u, w) for w in it) if any(c)), None)
+    if uv is None:
+        return 1
+    return 3 if any(dot(uv, w) for w in it) else 2
+
+
 def rref(m: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns (rref matrix, pivot column indices)."""
     a, _ = _integer_rows(m)
@@ -230,14 +249,15 @@ def kernel_basis(m: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     if not m:
         return []
     a, _ = _integer_rows(m)
-    return _integer_kernel(a)
+    return list(_integer_kernel(a))
 
 
 def _integer_kernel(
     a: list[list[int]], scale: Optional[Sequence[int]] = None
-) -> list[list[Fraction]]:
-    """Kernel basis of the integer rows a (eliminated in place), one vector
-    per free column f, with 1 at f and 0 at the other free columns.
+) -> Iterator[list[Fraction]]:
+    """Kernel basis of the integer rows a (eliminated in place on the first
+    step), one vector per free column f, with 1 at f and 0 at the other free
+    columns, each built only when the caller asks for it.
 
     With positive column multipliers `scale` it is the kernel of the matrix
     whose column c is a's column c times scale[c]: a kernel vector w of a
@@ -246,14 +266,12 @@ def _integer_kernel(
     cols = len(a[0])
     s = scale or [1] * cols
     pivots = _eliminate(a, reduce=True)
-    basis = []
     for fc in (c for c in range(cols) if c not in pivots):
         v = [Fraction(0)] * cols
         v[fc] = Fraction(1)
         for row, pc in zip(a, pivots):
             v[pc] = Fraction(-row[fc] * s[fc], row[pc] * s[pc])
-        basis.append(v)
-    return basis
+        yield v
 
 
 def det_exact(m: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -319,7 +337,7 @@ class Realization:
         return Realization(tuple(self.col(i) for i in labels))
 
     def rank(self) -> int:
-        return _rank(self._integer_view[0])
+        return _span_rank(self._integer_view[0])
 
     def as_rows(self) -> list[list[Fraction]]:
         return [[self.cols[c][r] for c in range(self.d)] for r in range(3)]

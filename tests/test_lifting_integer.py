@@ -21,6 +21,7 @@ from bracketforge.harness import (
     cactus_realization,
     collinear_realization,
     generic_q,
+    in_circuit_variety,
     pappus_realization,
     quadrilateral_set_flat,
     random_cactus,
@@ -129,13 +130,17 @@ def oracle_construct(cfg, gamma, q):
         lifted = Realization(
             tuple(tuple(x + zi * y for x, y in zip(col, q)) for zi, col in zip(z, gamma.cols))
         )
-        if lifted.rank() == 3:
+        if oracle_rank(lifted.cols) == 3:
             return lifted
     return None
 
 
+def oracle_rank(vectors) -> int:
+    return len(fraction_rref([list(v) for v in vectors])[1])
+
+
 def oracle_trivial(cfg, gamma, q) -> int:
-    if Realization(gamma.cols + (q,)).rank() == 3:
+    if oracle_rank(gamma.cols + (q,)) == 3:
         return 2
     return oracle_lift_dim(cfg, gamma, q)
 
@@ -225,6 +230,32 @@ def test_lift_kernel_golden(seed):
     assert sha256_lines(lines) == GOLDEN[seed]
 
 
+def lifting_golden_inputs() -> list:
+    """Flattened quadrilateral sets with their generic q, then the inputs
+    with distinct denominators and with no circuit."""
+    qs = preset("qs")
+    out = []
+    for seed in range(500):
+        flat = quadrilateral_set_flat(seed)
+        out.append((qs, flat, generic_q(flat, seed, qs)))
+    return out + distinct_denominator_inputs() + no_circuit_inputs()
+
+
+# Recorded before the liftings were checked on integer columns: sha256 of
+# trivial_lifting_dim and the printed construct_lifting per input.
+LIFTING_GOLDEN = "f5f7b5232ae83ec19d1313ef1e862760866c6fe7d69a67828e085cd5ac5cc6b7"
+
+
+def test_lifting_golden():
+    lines = []
+    for cfg, gamma, q in lifting_golden_inputs():
+        lifted = construct_lifting(cfg, gamma, q)
+        lines.append(f"{trivial_lifting_dim(cfg, gamma, q)} "
+                     f"{None if lifted is None else lifted.to_json()}")
+    assert sum(not line.endswith("None") for line in lines) > 500
+    assert sha256_lines(lines) == LIFTING_GOLDEN
+
+
 def test_verdicts_never_build_fraction_rows(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("a single-q verdict built Fraction rows")
@@ -235,6 +266,28 @@ def test_verdicts_never_build_fraction_rows(monkeypatch):
         assert lift_dim(cfg, gamma, q) >= 0
         assert trivial_lifting_dim(cfg, gamma, q) >= 0
         construct_lifting(cfg, gamma, q)
+
+
+def test_an_inexact_kernel_is_caught_on_the_lifted_columns(monkeypatch):
+    """A planted kernel whose first vector lifts within the plane and whose
+    second is no kernel vector and lifts to rank 3: construct_lifting skips
+    the first and raises on the second, with the witness in_circuit_variety
+    gives on the Fraction lifted collection."""
+    inputs = INPUT_SETS["qs-flat"]() + distinct_denominator_inputs()
+    for cfg, gamma, q in inputs:
+        planar = [F(0)] * cfg.d
+        planted = [F(0)] * cfg.d
+        planted[0], planted[2] = F(-2, 3), F(5, 7)
+        monkeypatch.setattr(lifting, "_integer_kernel", lambda rows, scale: iter([planar, planted]))
+        lifted = Realization(tuple(
+            tuple(x + zi * y for x, y in zip(col, q)) for zi, col in zip(planted, gamma.cols)
+        ))
+        assert oracle_rank(lifted.cols) == 3
+        ok, witness = in_circuit_variety(cfg, lifted)
+        assert not ok
+        with pytest.raises(LiftingError) as err:
+            construct_lifting(cfg, gamma, q)
+        assert str(err.value) == f"lifted collection violates a circuit; kernel not exact: {witness}"
 
 
 def test_trivial_lifting_dim_on_a_spanning_q_builds_no_rows(monkeypatch):

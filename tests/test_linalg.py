@@ -13,6 +13,7 @@ from bracketforge.linalg import (
     _eliminate,
     _integer_rows,
     _rank,
+    _span_rank,
     cross,
     det3,
     det_exact,
@@ -320,8 +321,9 @@ def test_rank_peel_matches_fraction_oracle():
 
 def test_realization_rank_with_coordinate_axis_points():
     """A coordinate that one point alone has nonzero, such as that of a
-    point on a coordinate axis, is a column with one nonzero: the peel sets
-    that point aside."""
+    point on a coordinate axis, is a column with one nonzero: the peel of
+    `_rank` sets that point aside.  `Realization.rank` (`_span_rank`) and
+    `_rank` on the integer columns both match the oracle."""
     rng = random.Random(7)
     axes = [vec3(1, 0, 0), vec3(0, -2, 0), vec3(0, 0, F(3, 4))]
     ranks, peeled = set(), 0
@@ -336,10 +338,62 @@ def test_realization_rank_with_coordinate_axis_points():
             cols[-1] = tuple(2 * x - y for x, y in zip(cols[-2], cols[-3]))
         rng.shuffle(cols)
         want = len(fraction_rref([list(c) for c in cols])[1])
-        assert Realization(tuple(cols)).rank() == want, cols
+        gamma = Realization(tuple(cols))
+        assert gamma.rank() == want, cols
+        assert _rank(gamma._integer_view[0]) == want, cols
         ranks.add(want)
         peeled += peel_rounds([list(c) for c in cols]) > 0
     assert ranks == {1, 2, 3} and peeled >= 50
+
+
+SPAN_RANK_CASES = {
+    "empty": ([], 0),
+    "all zero": ([(0, 0, 0)] * 3, 0),
+    "parallel": ([(0, 0, 0), (1, -2, 3), (-2, 4, -6), (0, 0, 0), (3, -6, 9)], 1),
+    # projective points on the line x = z, a parallel pair before the second point
+    "collinear": ([(0, 0, 0), (1, 0, 1), (-3, 0, -3), (1, 1, 1), (1, 2, 1), (2, 3, 2)], 2),
+    # vectors of the plane x + y + z = 0
+    "coplanar": ([(1, -1, 0), (0, 1, -1), (1, 0, -1), (2, -3, 1), (0, 0, 0)], 2),
+    "spanning": ([(1, 0, 0), (2, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 0), (0, 0, 1)], 3),
+    "spanning at once": ([(0, 0, 5), (1, 2, 3), (3, -1, 0), (1, 1, 1)], 3),
+}
+
+
+def check_span_rank(vectors: list, want=None) -> int:
+    """_span_rank of the int vectors and of Fraction multiples of them (one
+    nonzero factor per vector) against the Fraction RREF and `_rank`."""
+    oracle = len(fraction_rref(vectors)[1])
+    assert want is None or oracle == want
+    assert _span_rank(vectors) == _rank(vectors) == oracle, vectors
+    fracs = [tuple(F(i + 1, 2 * i + 3) * (-1) ** i * x for x in v)
+             for i, v in enumerate(vectors)]
+    assert len(fraction_rref(fracs)[1]) == oracle
+    assert _span_rank(fracs) == _rank(_integer_rows(fracs)[0]) == oracle, fracs
+    assert _span_rank(iter(fracs)) == oracle
+    return oracle
+
+
+@pytest.mark.parametrize("name", SPAN_RANK_CASES)
+def test_span_rank_cases(name):
+    check_span_rank(*SPAN_RANK_CASES[name])
+
+
+def test_span_rank_on_random_low_rank_sets():
+    """Integer combinations of 0..3 random vectors, in random order, some
+    coefficients zero: every rank appears, and a set's rank never exceeds
+    the number of vectors it is made from."""
+    rng = random.Random(3)
+    seen = {k: 0 for k in range(4)}
+    for _ in range(400):
+        gens = [[rng.randint(-4, 4) for _ in range(3)] for _ in range(rng.randint(0, 3))]
+        vectors = []
+        for _ in range(rng.randint(0, 6)):
+            coeffs = [rng.choice([0, 0, 1, -2, 3]) for _ in gens]
+            vectors.append(tuple(sum(c * g[k] for c, g in zip(coeffs, gens)) for k in range(3)))
+        r = check_span_rank(vectors)
+        assert r <= len(gens)
+        seen[r] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 @pytest.mark.parametrize("fn", [rref, rank, kernel_basis])
