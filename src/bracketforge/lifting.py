@@ -19,26 +19,30 @@ of its matrix, with its own q per column: `eval_descriptor` is that matrix's
 `minor_eval`, whose indices `poly._check_minor` checks, and
 `MinorDescriptor.restrict` maps a realization of the preset to one of the
 descriptor's matrix.  The single-q verdicts (lifting dimensions, liftings)
-share one prologue, `_check_lifting_input`: it checks the input, clears q,
-and returns the integer form of q and cross(g_v, q) for every integer
-column g_v, taken once.  The verdict that reads the liftability matrix
-builds it from these crosses on the realization's integer columns
-(`_integer_lift_rows`); its rows differ from Fraction rows only by positive
-row scalings and one positive scaling per column, which keep the rank and
-scale each kernel vector back exactly.
+share one prologue, `_check_lifting_input`: it clears q, takes cross(g_v, q)
+for every integer column g_v once, and checks the input in one scan per line
+(`_frame_pairs`) that also finds the line's frame pair, an independent pair
+(a, b) with [a b q] != 0.  The full checks (`in_circuit_variety`) run only
+to name a fault the scan met.  The verdict that reads the liftability matrix
+builds it from the crosses and frame pairs on the realization's integer
+columns (`_integer_lift_rows`); its rows differ from Fraction rows only by
+positive row scalings and one positive scaling per column, which keep the
+rank and scale each kernel vector back exactly.
 Of the C(k, 3) rows of a k-point line it builds only the k - 2 frame rows,
-the circuits {a, b, c} of one independent pair (a, b): once the input is
-checked (every circuit vanishes, q in general position), the
-Grassmann-Pluecker relation puts the line's other rows in their span, so the
-rank, the RREF and the kernel are the whole matrix's.  Each row has three nonzeros; the rank sets
-aside the rows that own a column (`linalg._rank`), and the elimination
+the circuits {a, b, c} of the frame pair: once the input is checked (every
+circuit vanishes, q in general position), the Grassmann-Pluecker relation
+puts the line's other rows in their span, so the rank, the RREF and the
+kernel are the whole matrix's.  Each row is three (column, value) pairs; the
+rank (`linalg._rank`) sets aside on these supports the rows that own a
+column and eliminates only the rows left, and the elimination
 (`linalg._eliminate`) updates only the rows with a nonzero in the pivot
 column, keeping each row primitive.  `construct_lifting` tries each kernel
-vector z on integers: the columns g_i * b_i * s_q + a_i * s_i * q' (z_i =
-a_i / b_i) are positive multiples of gamma_i + z_i q, so their rank
-(`linalg._span_rank`) and their circuit witness (`harness._circuit_witness`)
-are the lifting's, and the Fractions of the returned lifting are built once,
-one per coordinate.  The planar and spanning tests of the liftings take
+vector z = w / den, w an integer vector (`linalg._integer_kernel`), on
+integers: the columns g_i * den * s_q + w_i * s_i * q' are positive
+multiples of gamma_i + z_i q, so their rank (`linalg._span_rank`) and their
+circuit witness (`harness._circuit_witness`) are the lifting's, and the
+Fractions of the returned lifting are the only ones built, one per
+coordinate.  The planar and spanning tests of the liftings take
 `_span_rank` too.
 """
 
@@ -340,7 +344,7 @@ def _clear_q(gamma: Realization, q: Vec3) -> tuple[tuple[int, ...], int, list[Ve
     """(q', s_q, by_q): q' = s_q * q is q with its denominators cleared, and
     by_q[v - 1] = cross(g_v, q') for every integer column g_v of gamma
     (`_integer_view`).  A single-q verdict takes these once and shares them
-    between its general-position check and its liftability rows."""
+    between its input check and its liftability rows."""
     (q_int,), (s_q,) = _integer_rows([q])
     return q_int, s_q, [cross(v, q_int) for v in gamma._integer_view[0]]
 
@@ -352,15 +356,11 @@ def q_general_position(cfg: Config, gamma: Realization, q: Vec3) -> bool:
     cross(g, q') = 0, and on the line of a pair (a, b) iff
     det(a, b, q') = dot(a, cross(b, q')) = 0 and the pair is independent.
     cross(g, q') is taken once per point, and cross(a, b) only for a pair
-    whose determinant is 0.
+    whose determinant is 0.  Every pair of every line is tested, so gamma
+    need not satisfy the circuits.
     """
     q_int, _, by_q = _clear_q(gamma, q)
-    return _general_position(cfg, gamma, q_int, by_q)
-
-
-def _general_position(cfg: Config, gamma: Realization, q: Sequence[int], by_q) -> bool:
-    """q_general_position on the integer q' and by_q of `_clear_q`."""
-    if not any(q):
+    if not any(q_int):
         return False
     cols = gamma._integer_view[0]
     for p in cfg.nonloop_points:
@@ -373,25 +373,78 @@ def _general_position(cfg: Config, gamma: Realization, q: Sequence[int], by_q) -
     return True
 
 
+def _frame_pairs(cfg: Config, cols, by_q) -> Optional[list[tuple[tuple[int, ...], int, int, int]]]:
+    """One scan per line of the integer columns cols: (line, a, b, [a b q'])
+    for each line with an independent pair, (a, b) its frame pair, or None
+    when the scan meets a fault.
+
+    The line's pairs are walked in `combinations` order.  A pair with
+    [a b q'] = dot(g_a, by_q[b - 1]) = 0 must be dependent (cross(g_a, g_b)
+    = 0); the first pair with [a b q'] != 0 is the frame pair, and every
+    other point c of the line must have dot(cross(g_a, g_b), g_c) = 0.
+    A line whose pairs are all dependent has no frame pair.
+    """
+    frames = []
+    for line in cfg.lines:
+        for a, b in combinations(line, 2):
+            ab = dot(cols[a - 1], by_q[b - 1])
+            if ab:
+                break
+            if any(cross(cols[a - 1], cols[b - 1])):
+                return None
+        else:
+            continue
+        normal = cross(cols[a - 1], cols[b - 1])
+        for c in line:
+            if c != a and c != b and dot(normal, cols[c - 1]):
+                return None
+        frames.append((line, a, b, ab))
+    return frames
+
+
 def _check_lifting_input(cfg: Config, gamma: Realization, q: Vec3):
     """Raise LiftingError unless a single-q verdict applies; return (q',
-    s_q, by_q) of `_clear_q`, from which a verdict that reads the liftability
-    matrix builds its frame rows (`_integer_lift_rows`)."""
+    s_q, by_q) of `_clear_q` and the frame pairs of `_frame_pairs`, from
+    which a verdict that reads the liftability matrix builds its frame rows
+    (`_integer_lift_rows`).
+
+    The input applies when every circuit vanishes at gamma and q is in
+    general position (`q_general_position`).  One scan per line decides
+    both: once the frame pair (a, b) of a line is independent and every
+    other point c has [a b c] = 0, the line's points lie in span(g_a, g_b),
+    so every circuit of the line vanishes; and [a b q'] != 0 puts q' off
+    that plane, so off the line of every independent pair on it.  The pairs
+    before the frame pair are dependent, so they have no line.  Besides the
+    scan, q' must be nonzero and off the span of every nonzero point.
+
+    A fault the scan meets is either a point c off span(g_a, g_b), which
+    violates the circuit {a, b, c}, or an independent pair with [a b q'] =
+    0, which puts q on its line.  So when the scan or the point check fails,
+    `in_circuit_variety` is called and names the first violated circuit, as
+    when the circuits were checked first.  The first kind of fault always
+    leaves it a witness, so when it finds none the fault is of the second
+    kind or of the point check: q is not in general position.
+    """
     cfg._require_simple()
     if gamma.d != cfg.d:
         raise LiftingError("realization size does not match configuration")
-    ok, witness = in_circuit_variety(cfg, gamma)
-    if not ok:
-        raise LiftingError(f"realization violates a circuit of the configuration: {witness}")
     q_int, s_q, by_q = _clear_q(gamma, q)
-    if not _general_position(cfg, gamma, q_int, by_q):
+    cols = gamma._integer_view[0]
+    frames = _frame_pairs(cfg, cols, by_q)
+    if (frames is None or not any(q_int)
+            or any(any(g) and not any(g_q) for g, g_q in zip(cols, by_q))):
+        ok, witness = in_circuit_variety(cfg, gamma)
+        if not ok:
+            raise LiftingError(f"realization violates a circuit of the configuration: {witness}")
         raise LiftingError("q is not in general position for this realization")
-    return q_int, s_q, by_q
+    return q_int, s_q, by_q, frames
 
 
-def _integer_lift_rows(cfg: Config, gamma: Realization, by_q) -> list[list[int]]:
+def _integer_lift_rows(gamma: Realization, by_q, frames) -> list[tuple[tuple[int, int], ...]]:
     """The frame rows of the liftability matrix at gamma with q in every
-    column, on integers, from the crosses by_q of `_clear_q`.
+    column, on integers, from the crosses by_q of `_clear_q` and the frame
+    pairs of `_check_lifting_input`, as `linalg._rank` takes them: each row
+    is three (0-based column, value) pairs.
 
     With the integer columns g_c = s_c * gamma_c (`_integer_view`) and the
     integer q' = s_q * q, entry (circuit, c) is the signed bracket [u v q'] =
@@ -399,14 +452,14 @@ def _integer_lift_rows(cfg: Config, gamma: Realization, by_q) -> list[list[int]]
     Fraction row of its circuit times s_q and the s_c over the circuit, with
     column c divided by s_c.
 
-    Per line L, (a, b) is its first pair in `combinations` order with
-    [a b q'] != 0, and the rows are those of the circuits {a, b, c}, c any
-    other point of L: [b c q'], [c a q'], [a b q'] in columns a, b, c, negated
-    when a < c < b to match the layout's sorted circuit.  These k_L - 2 rows
-    span all C(k_L, 3) rows of L, given what `_check_lifting_input` has
-    established: every circuit of L vanishes, so L's points lie in
-    span(g_a, g_b), and q is in general position, so [a b q'] != 0 exactly
-    when g_a and g_b are independent.  By the Grassmann-Pluecker relation
+    Per line L with frame pair (a, b), the first pair in `combinations`
+    order with [a b q'] != 0, the rows are those of the circuits {a, b, c},
+    c any other point of L: [b c q'], [c a q'], [a b q'] in columns a, b, c,
+    negated when a < c < b to match the layout's sorted circuit.  These
+    k_L - 2 rows span all C(k_L, 3) rows of L, given what
+    `_check_lifting_input` has established: L's points lie in span(g_a,
+    g_b), and [a b q'] != 0 exactly when g_a and g_b are independent.  By the
+    Grassmann-Pluecker relation
     [y z q] gamma_x - [x z q] gamma_y + [x y q] gamma_z = [x y z] q = 0
     for a circuit {x < y < z} of L, every row of L vanishes on both
     coordinate vectors of L's points in the basis (g_a, g_b): L's rows span
@@ -417,27 +470,22 @@ def _integer_lift_rows(cfg: Config, gamma: Realization, by_q) -> list[list[int]]
     """
     cols = gamma._integer_view[0]
     rows = []
-    for line in cfg.lines:
-        for a, b in combinations(line, 2):
-            ab = dot(cols[a - 1], by_q[b - 1])
-            if ab:
-                break
-        else:
-            continue
+    for line, a, b, ab in frames:
+        g_b, a_q = cols[b - 1], by_q[a - 1]
         for c in line:
             if c != a and c != b:
                 sign = -1 if a < c < b else 1
-                row = [0] * cfg.d
-                row[a - 1] = sign * dot(cols[b - 1], by_q[c - 1])
-                row[b - 1] = sign * dot(cols[c - 1], by_q[a - 1])
-                row[c - 1] = sign * ab
-                rows.append(row)
+                rows.append((
+                    (a - 1, sign * dot(g_b, by_q[c - 1])),
+                    (b - 1, sign * dot(cols[c - 1], a_q)),
+                    (c - 1, sign * ab),
+                ))
     return rows
 
 
 def lift_dim(cfg: Config, gamma: Realization, q: Vec3) -> int:
-    _, _, by_q = _check_lifting_input(cfg, gamma, q)
-    return cfg.d - _rank(_integer_lift_rows(cfg, gamma, by_q))
+    _, _, by_q, frames = _check_lifting_input(cfg, gamma, q)
+    return cfg.d - _rank(_integer_lift_rows(gamma, by_q, frames), cfg.d)
 
 
 # ---------------------------------------------------------------------------
@@ -445,18 +493,20 @@ def lift_dim(cfg: Config, gamma: Realization, q: Vec3) -> int:
 
 
 def _lifted_columns(
-    gamma: Realization, z: Sequence[Fraction], q: Sequence[int], s_q: int
+    gamma: Realization, w: Sequence[int], den: int, q: Sequence[int], s_q: int
 ) -> tuple[list[tuple[int, ...]], list[int]]:
-    """(N, den): the columns gamma_i + z_i * q' / s_q are N_i / den_i.
+    """(N, dens): the columns gamma_i + z_i * q' / s_q are N_i / dens_i,
+    for the kernel vector z = w / den of `_integer_kernel`.
 
-    With gamma_i = g_i / s_i (`_integer_view`), the integer q' and
-    z_i = a_i / b_i (b_i > 0), N_i = g_i * b_i * s_q + a_i * q' * s_i is an
-    integer column and den_i = s_i * b_i * s_q > 0, so N_i is a positive
-    multiple of gamma_i + z_i * q."""
+    With gamma_i = g_i / s_i (`_integer_view`) and the integer q',
+    N_i = g_i * den * s_q + w_i * s_i * q' is an integer column and
+    dens_i = s_i * den * s_q > 0, so N_i is a positive multiple of
+    gamma_i + z_i * q."""
     ints, mults = gamma._integer_view
+    g_mult = den * s_q
     cols, dens = [], []
-    for g, s, zi in zip(ints, mults, z):
-        g_mult, q_mult = zi.denominator * s_q, zi.numerator * s
+    for g, s, wi in zip(ints, mults, w):
+        q_mult = wi * s
         cols.append(tuple(g_mult * x + q_mult * y for x, y in zip(g, q)))
         dens.append(s * g_mult)
     return cols, dens
@@ -480,13 +530,13 @@ def construct_lifting(cfg: Config, gamma: Realization, q: Vec3) -> Optional[Real
     integers, and the Fractions N_ik / den_i of the returned collection are
     built once.
     """
-    q_int, s_q, by_q = _check_lifting_input(cfg, gamma, q)
+    q_int, s_q, by_q, frames = _check_lifting_input(cfg, gamma, q)
     ints, mults = gamma._integer_view
     if _span_rank(ints) > 2:
         raise LiftingError("construct_lifting expects a planar (rank <= 2) collection")
-    rows = _integer_lift_rows(cfg, gamma, by_q)
-    for z in _integer_kernel(rows or [[0] * cfg.d], mults):
-        cols, dens = _lifted_columns(gamma, z, q_int, s_q)
+    rows = _integer_lift_rows(gamma, by_q, frames)
+    for w, den in _integer_kernel(rows, cfg.d, mults):
+        cols, dens = _lifted_columns(gamma, w, den, q_int, s_q)
         if _span_rank(cols) == 3:
             witness = _circuit_witness(cfg, cols)
             if witness is not None:
@@ -510,10 +560,10 @@ def trivial_lifting_dim(cfg: Config, gamma: Realization, q: Vec3) -> int:
     dimension is rank(gamma) = 2.  Otherwise every lifting stays inside
     span(gamma, q), and the whole kernel counts.
     """
-    q_int, _, by_q = _check_lifting_input(cfg, gamma, q)
+    q_int, _, by_q, frames = _check_lifting_input(cfg, gamma, q)
     ints = gamma._integer_view[0]
     if _span_rank(ints) > 2:
         raise LiftingError("trivial_lifting_dim expects a planar (rank <= 2) collection")
     if _span_rank(ints + (q_int,)) == 3:
         return 2
-    return cfg.d - _rank(_integer_lift_rows(cfg, gamma, by_q))
+    return cfg.d - _rank(_integer_lift_rows(gamma, by_q, frames), cfg.d)

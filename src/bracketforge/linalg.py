@@ -10,12 +10,16 @@ Fractions, and those are exact. Rank,
 RREF and kernels keep every row primitive and change only the rows with a
 nonzero in the pivot column, so a sparse matrix such as a liftability matrix
 (three nonzeros per row) costs little and no entry grows past the Bareiss
-entry.  Rank first peels: a row that is the only nonzero of some column is
-independent of the rest, adds 1 and is set aside, which may leave another
-column with one nonzero; only the rows left are eliminated, on the shorter
-side.  A kernel yields its vectors one at a time, so a caller that stops at
-the first it can use builds no other.  det_exact stays Bareiss: exact
-division by the previous pivot leaves the determinant as the last pivot.
+entry.  Rank and kernels take integer rows as sparse (column, value) pairs,
+and `rank` passes a matrix's integer rows through the same `_rank`.  Rank
+first peels on the rows' supports: a row that is the only nonzero of some
+column is independent of the rest, adds 1 and is set aside, which may leave
+another column with one nonzero; only the rows left are written densely and
+eliminated, on the shorter side.  A kernel yields its vectors one at a time
+as integer vectors over one positive denominator, so a caller that stops at
+the first it can use builds no other, and only `kernel_basis` makes
+Fractions of them.  det_exact stays Bareiss: exact division by the previous
+pivot leaves the determinant as the last pivot.
 A set of 3-vectors, such as a Realization's columns, takes its rank from
 `_span_rank` with no elimination: one cross product or one dot product per
 vector.
@@ -176,44 +180,60 @@ def _eliminate(a: list[list[int]], reduce: bool) -> list[int]:
     return pivots
 
 
-def _rank(a: Sequence[Sequence[int]]) -> int:
-    """Rank of the integer rows a, which are left as they are.
+def _sparse(a: Sequence[Sequence[int]]) -> list[list[tuple[int, int]]]:
+    """The dense integer rows a as (column, value) pairs of their nonzeros."""
+    return [[(c, x) for c, x in enumerate(row) if x] for row in a]
+
+
+def _dense(rows: Sequence[Sequence[tuple[int, int]]], ncols: int) -> list[list[int]]:
+    """The sparse integer rows written densely over ncols columns."""
+    out = []
+    for row in rows:
+        dense = [0] * ncols
+        for c, x in row:
+            dense[c] = x
+        out.append(dense)
+    return out
+
+
+def _rank(rows: Sequence[Sequence[tuple[int, int]]], ncols: int) -> int:
+    """Rank of the sparse integer rows, each a sequence of (column, value)
+    pairs over ncols columns; a pair with value 0 is no nonzero.  The rows
+    are left as they are.
 
     First peels: a row that is the only nonzero of some column is
     independent of the other rows, so it adds 1 to the rank and is set
     aside, which may leave another column with one nonzero.  Each column
     keeps its count of nonzeros in the rows not set aside and the sum of
     those rows' indices, which is the row's index once the count is 1.
-    Then eliminates the nonzero rows left on the shorter side: the
-    transpose when there are more rows than columns.
+    Then writes the rows left densely and eliminates them on the shorter
+    side: the transpose when there are more rows than columns.
     """
-    cols = list(zip(*a))
-    count = [len(a) - col.count(0) for col in cols]
+    support = [[c for c, x in row if x] for row in rows]
+    count = [0] * ncols
+    index_sum = [0] * ncols
+    for i, cs in enumerate(support):
+        for c in cs:
+            count[c] += 1
+            index_sum[c] += i
     peeled = 0
-    if 1 in count:
-        support = [[c for c, x in enumerate(row) if x] for row in a]
-        index_sum = [0] * len(count)
-        for i, cs in enumerate(support):
-            for c in cs:
-                index_sum[c] += i
-        ready = [c for c, k in enumerate(count) if k == 1]
-        while ready:
-            c = ready.pop()
-            if count[c] != 1:
-                continue  # its row was set aside for another column
-            i = index_sum[c]
-            cs, support[i] = support[i], ()
-            peeled += 1
-            for c in cs:
-                count[c] -= 1
-                index_sum[c] -= i
-                if count[c] == 1:
-                    ready.append(c)
-        a = [row for row, cs in zip(a, support) if cs]
-        cols = list(zip(*a))
-    if len(a) > len(cols):
-        a = cols
-    return peeled + len(_eliminate(list(a), reduce=False))
+    ready = [c for c, k in enumerate(count) if k == 1]
+    while ready:
+        c = ready.pop()
+        if count[c] != 1:
+            continue  # its row was set aside for another column
+        i = index_sum[c]
+        cs, support[i] = support[i], ()
+        peeled += 1
+        for c in cs:
+            count[c] -= 1
+            index_sum[c] -= i
+            if count[c] == 1:
+                ready.append(c)
+    a = _dense([row for row, cs in zip(rows, support) if cs], ncols)
+    if len(a) > ncols:
+        a = list(zip(*a))
+    return peeled + len(_eliminate(a, reduce=False))
 
 
 def _span_rank(vectors: Iterable[Vec3]) -> int:
@@ -241,7 +261,8 @@ def rref(m: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[in
 
 
 def rank(m: Sequence[Sequence[Fraction]]) -> int:
-    return _rank(_integer_rows(m)[0])
+    a, _ = _integer_rows(m)
+    return _rank(_sparse(a), len(m[0]) if m else 0)
 
 
 def kernel_basis(m: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
@@ -249,29 +270,34 @@ def kernel_basis(m: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     if not m:
         return []
     a, _ = _integer_rows(m)
-    return list(_integer_kernel(a))
+    return [[Fraction(x, den) for x in w] for w, den in _integer_kernel(_sparse(a), len(m[0]))]
 
 
 def _integer_kernel(
-    a: list[list[int]], scale: Optional[Sequence[int]] = None
-) -> Iterator[list[Fraction]]:
-    """Kernel basis of the integer rows a (eliminated in place on the first
-    step), one vector per free column f, with 1 at f and 0 at the other free
-    columns, each built only when the caller asks for it.
+    rows: Sequence[Sequence[tuple[int, int]]], ncols: int, scale: Optional[Sequence[int]] = None
+) -> Iterator[tuple[list[int], int]]:
+    """Kernel basis of the sparse integer rows (as `_rank` takes them), one
+    vector per free column f, with 1 at f and 0 at the other free columns,
+    each built only when the caller asks for it.  A vector is yielded as
+    (w, den), den > 0 and w integer: the vector is w / den.
 
     With positive column multipliers `scale` it is the kernel of the matrix
-    whose column c is a's column c times scale[c]: a kernel vector w of a
-    becomes w_c / scale[c], rescaled to 1 at f.
+    whose column c is the rows' column c times scale[c]: a kernel vector v
+    of the rows becomes v_c / scale[c], rescaled to 1 at f.  In the reduced
+    rows, the pivot of column p gives v_p = -row[f] * scale[f] / d_p with
+    d_p = row[p] * scale[p], so den is the lcm of the |d_p|.
     """
-    cols = len(a[0])
-    s = scale or [1] * cols
+    a = _dense(rows, ncols)
+    s = scale or [1] * ncols
     pivots = _eliminate(a, reduce=True)
-    for fc in (c for c in range(cols) if c not in pivots):
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for row, pc in zip(a, pivots):
-            v[pc] = Fraction(-row[fc] * s[fc], row[pc] * s[pc])
-        yield v
+    dens = [row[pc] * s[pc] for row, pc in zip(a, pivots)]
+    den = math.lcm(*dens)
+    for fc in (c for c in range(ncols) if c not in pivots):
+        w = [0] * ncols
+        w[fc] = den
+        for row, pc, d in zip(a, pivots, dens):
+            w[pc] = -row[fc] * s[fc] * (den // d)
+        yield w, den
 
 
 def det_exact(m: Sequence[Sequence[Fraction]]) -> Fraction:

@@ -8,8 +8,9 @@ from itertools import combinations
 from typing import Iterable
 
 from bracketforge.config import Config, _point_line_graph, preset
-from bracketforge.harness import random_cactus
-from bracketforge.linalg import Realization, vec3
+from bracketforge.harness import in_circuit_variety, random_cactus
+from bracketforge.lifting import LiftingError
+from bracketforge.linalg import Realization, _integer_rows, _rank, cross, dot, vec3
 
 
 def rand_realization(rng, d: int) -> Realization:
@@ -115,6 +116,65 @@ def fraction_rref(m):
         pivots.append(c)
         r += 1
     return a, pivots
+
+
+def sparse_rows(a) -> list:
+    """The dense integer rows a as the (column, value) pairs `linalg._rank`
+    and `linalg._integer_kernel` read, zeros included: a pair with value 0
+    must count as no nonzero."""
+    return [list(enumerate(row)) for row in a]
+
+
+def dense_rank(a) -> int:
+    """`linalg._rank` of the dense integer rows a."""
+    return _rank(sparse_rows(a), len(a[0]) if a else 0)
+
+
+def peel(a) -> tuple[list, int]:
+    """(core, rounds): the rows a column-owning peel of the dense rows a
+    leaves, and how many rounds it takes.  Each round sets aside every
+    nonzero row that is the only nonzero of some column."""
+    live, rounds = [row for row in a if any(row)], 0
+    while True:
+        single = {c for c in range(len(a[0]) if a else 0)
+                  if sum(1 for row in live if row[c]) == 1}
+        if not single:
+            return live, rounds
+        live = [row for row in live if not any(row[c] for c in single)]
+        rounds += 1
+
+
+def two_scan_prologue(cfg: Config, gamma: Realization, q):
+    """The single-q lifting prologue as two full scans, the reference for
+    `lifting._check_lifting_input`: every circuit (`in_circuit_variety`),
+    then q's general position against every point and every pair of every
+    line.  Returns (q', s_q, by_q, frames) as the prologue does, a frame
+    being (line, a, b, [a b q']) for the first pair of a line with
+    [a b q'] != 0, or raises its LiftingError."""
+    cfg._require_simple()
+    if gamma.d != cfg.d:
+        raise LiftingError("realization size does not match configuration")
+    ok, witness = in_circuit_variety(cfg, gamma)
+    if not ok:
+        raise LiftingError(f"realization violates a circuit of the configuration: {witness}")
+    (q_int,), (s_q,) = _integer_rows([q])
+    cols = gamma._integer_view[0]
+    by_q = [cross(v, q_int) for v in cols]
+    general = any(q_int) and all(not any(g) or any(g_q) for g, g_q in zip(cols, by_q))
+    for line in cfg.lines:
+        for a, b in combinations(line, 2):
+            if dot(cols[a - 1], by_q[b - 1]) == 0 and any(cross(cols[a - 1], cols[b - 1])):
+                general = False
+    if not general:
+        raise LiftingError("q is not in general position for this realization")
+    frames = []
+    for line in cfg.lines:
+        for a, b in combinations(line, 2):
+            ab = dot(cols[a - 1], by_q[b - 1])
+            if ab:
+                frames.append((line, a, b, ab))
+                break
+    return q_int, s_q, by_q, frames
 
 
 def fraction_kernel(m):

@@ -28,7 +28,7 @@ from bracketforge.harness import (
 )
 from bracketforge.lifting import (
     LiftingError,
-    _clear_q,
+    _check_lifting_input,
     _integer_lift_rows,
     QScheme,
     construct_lifting,
@@ -48,7 +48,13 @@ from bracketforge.linalg import (
     vec3,
 )
 
-from oracles import CRITERION_6_CONFIGS, fraction_rref, sha256_lines
+from oracles import (
+    CRITERION_6_CONFIGS,
+    fraction_rref,
+    peel,
+    sha256_lines,
+    two_scan_prologue,
+)
 
 # the names the benchmark's lift-kernel workload gives CRITERION_6_CONFIGS
 LIFT_KERNEL_NAMES = ["line:4", "line:6", "cycle:3:3", "cycle:4:4", "random_cactus(0)",
@@ -183,17 +189,25 @@ def has_independent_pair(gamma, line) -> bool:
 
 
 def check_integer_rows(cfg, gamma, q):
-    """Each integer row is the Fraction row of a 3-circuit with entry c
-    scaled by s_q * (prod of the column multipliers over the circuit) / s_c.
-    The rows are those of k_L - 2 circuits per line L with an independent
-    pair, and have the rank of the whole Fraction matrix."""
-    ints = _integer_lift_rows(cfg, gamma, _clear_q(gamma, q)[2])
+    """Each integer row, three (column, value) pairs in distinct columns,
+    is the Fraction row of a 3-circuit with entry c scaled by s_q * (prod of
+    the column multipliers over the circuit) / s_c.  The rows are those of
+    k_L - 2 circuits per line L with an independent pair, and have the rank
+    of the whole Fraction matrix.  Returns the lines with an independent
+    pair and the rows the peel of `_rank` leaves (`oracles.peel`)."""
+    _, _, by_q, frames = _check_lifting_input(cfg, gamma, q)
+    ints = _integer_lift_rows(gamma, by_q, frames)
     fracs = oracle_rows(cfg, gamma, q)
     _, s = gamma._integer_view
     _, (s_q,) = _integer_rows([q])
     assert len(fracs) == len(cfg.circuits3())
-    used = []
-    for row in ints:
+    used, dense = [], []
+    for pairs in ints:
+        assert len(pairs) == 3 and len({c for c, _ in pairs}) == 3
+        row = [0] * cfg.d
+        for c, x in pairs:
+            row[c] = x
+        dense.append(row)
         assert all(type(x) is int for x in row)
         matches = [
             circuit for circuit, frac_row in zip(cfg.circuits3(), fracs)
@@ -205,14 +219,17 @@ def check_integer_rows(cfg, gamma, q):
     assert len(set(used)) == len(ints)
     independent = [l for l in cfg.lines if has_independent_pair(gamma, l)]
     assert len(ints) == sum(len(l) - 2 for l in independent)
-    assert _rank(ints) == len(fraction_rref(fracs)[1]) if fracs else not ints
-    return independent
+    assert _rank(ints, cfg.d) == len(fraction_rref(fracs)[1]) if fracs else not ints
+    return independent, peel(dense)[0]
 
 
 @pytest.mark.parametrize("name", INPUT_SETS)
 def test_integer_rows_are_scaled_fraction_rows(name):
-    for cfg, gamma, q in INPUT_SETS[name]():
-        check_integer_rows(cfg, gamma, q)
+    cores = [check_integer_rows(cfg, gamma, q)[1] for cfg, gamma, q in INPUT_SETS[name]()]
+    if name == "criterion-6":
+        assert not any(cores)  # every frame row peels
+    if name == "qs-flat":
+        assert all(cores)  # each point is on two lines, so no column is owned
 
 
 # Recorded with the Fraction rows: sha256 of the printed verdicts over the
@@ -278,7 +295,9 @@ def test_an_inexact_kernel_is_caught_on_the_lifted_columns(monkeypatch):
         planar = [F(0)] * cfg.d
         planted = [F(0)] * cfg.d
         planted[0], planted[2] = F(-2, 3), F(5, 7)
-        monkeypatch.setattr(lifting, "_integer_kernel", lambda rows, scale: iter([planar, planted]))
+        # _integer_kernel yields (w, den) with the vector w / den
+        kernel = [(w, den) for (w,), (den,) in (_integer_rows([z]) for z in (planar, planted))]
+        monkeypatch.setattr(lifting, "_integer_kernel", lambda rows, ncols, scale: iter(kernel))
         lifted = Realization(tuple(
             tuple(x + zi * y for x, y in zip(col, q)) for zi, col in zip(planted, gamma.cols)
         ))
@@ -341,7 +360,7 @@ def test_frame_rows_give_the_full_matrix_verdicts(name):
     matrix where a line's frame is not its first pair or where it has none.
     A rank-3 realization has a lift dimension but no planar lifting."""
     for cfg, gamma, q in frame_inputs()[name]:
-        independent = check_integer_rows(cfg, gamma, q)
+        independent, _ = check_integer_rows(cfg, gamma, q)
         if name == "rank-3":
             assert gamma.rank() == 3
             assert lift_dim(cfg, gamma, q) == oracle_lift_dim(cfg, gamma, q)
@@ -421,3 +440,99 @@ def test_q_general_position_matches_all_pairs_cross_products():
         assert q_general_position(cfg, gamma, q) == want, seed
         verdicts.append(want)
     assert 40 < sum(verdicts) < 360
+
+
+# ---------------------------------------------------------------------------
+# The one-scan prologue against the two-scan reference
+
+
+def prologue_outcome(check, cfg, gamma, q) -> str:
+    try:
+        return f"ok {check(cfg, gamma, q)}"
+    except LiftingError as err:
+        return f"LiftingError: {err}"
+
+
+def moved(gamma: Realization, p: int, shift) -> Realization:
+    """gamma with point p moved by the vector shift."""
+    cols = list(gamma.cols)
+    cols[p - 1] = tuple(x + y for x, y in zip(cols[p - 1], shift))
+    return Realization(tuple(cols))
+
+
+def combined(gamma: Realization, s, a: int, t, b: int):
+    """s * gamma_a + t * gamma_b: a q on the line of the pair (a, b)."""
+    return tuple(s * x + t * y for x, y in zip(gamma.col(a), gamma.col(b)))
+
+
+def planted_prologue_inputs() -> dict:
+    """name -> (cfg, gamma, q, the start of the expected outcome)."""
+    c44, cactus0, pappus = preset("cycle:4:4"), random_cactus(0), preset("pappus")
+    flat = collinear_realization(c44, 1)
+    q44 = generic_q(flat, 1, c44)
+    rank3 = cactus_realization(cactus0, 2)
+    pappus3 = pappus_realization(4)
+    gp = "LiftingError: q is not in general position"
+    frames = frame_inputs()
+    return {
+        "q' = 0": (c44, flat, vec3(0, 0, 0), gp),
+        # no point has a span for q to lie on, and no pair a line
+        "q' = 0 with every point zero": (preset("line:4"), Realization((vec3(0, 0, 0),) * 4),
+                                         vec3(0, 0, 0), gp),
+        "q on a point's span": (c44, flat, tuple(F(-3, 2) * x for x in flat.col(5)), gp),
+        # (4, 9) is the frame pair of the line (4, 9, 10, 11, 12)
+        "q on a non-frame pair's line": (cactus0, rank3, combined(rank3, 1, 10, F(2, 3), 12), gp),
+        # point 6 is on the line (1, 2, 5, 6) alone; {1, 2, 5} holds, {1, 2, 6} does not
+        "point off a 4-point line": (c44, moved(flat, 6, (1, -2, 3)), q44,
+                                     "LiftingError: realization violates a circuit of the "
+                                     "configuration: circuit {1,2,6}"),
+        "coincident pair before the frame pair": frames["first-pair-coincides"][1] + ("ok",),
+        "line with no independent pair": frames["line-all-coincides"][0] + ("ok",),
+        # q on the first line (1, 2, 3), and point 9, on later lines only, moved
+        "general position fault, then a circuit fault": (
+            pappus, moved(pappus3, 9, (2, 1, -1)), combined(pappus3, 2, 1, -1, 2),
+            "LiftingError: realization violates a circuit of the configuration: circuit {2,6,9}"),
+    }
+
+
+@pytest.mark.parametrize("name", list(planted_prologue_inputs()))
+def test_prologue_matches_two_scan_reference_on_planted_inputs(name):
+    cfg, gamma, q, expected = planted_prologue_inputs()[name]
+    got = prologue_outcome(_check_lifting_input, cfg, gamma, q)
+    assert got == prologue_outcome(two_scan_prologue, cfg, gamma, q)
+    assert got.startswith(expected), got
+    if name == "general position fault, then a circuit fault":
+        pappus3 = pappus_realization(4)
+        assert not q_general_position(cfg, pappus3, q) and in_circuit_variety(cfg, pappus3)[0]
+
+
+def test_prologue_matches_two_scan_reference():
+    """Equal verdicts, returns and error texts on the lift-kernel inputs and
+    on points with coincident or zero columns and degenerate q."""
+    inputs = [x[1:] for x in lift_kernel_inputs(2, 2)]
+    inputs += [degenerate_q_inputs(seed) for seed in range(400)]
+    inputs += [x for group in frame_inputs().values() for x in group]
+    seen = {"ok": 0, "circuit": 0, "general position": 0}
+    for cfg, gamma, q in inputs:
+        want = prologue_outcome(two_scan_prologue, cfg, gamma, q)
+        assert prologue_outcome(_check_lifting_input, cfg, gamma, q) == want, (cfg, gamma, q)
+        seen[next(kind for kind in seen if kind in want)] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_valid_inputs_skip_the_full_scans(monkeypatch):
+    """On inputs that pass, no single-q verdict evaluates every circuit or
+    tests every pair of a line."""
+    inputs = [x[1:] for x in lift_kernel_inputs(4, 1)]
+    inputs += frame_inputs()["first-pair-coincides"] + frame_inputs()["line-all-coincides"]
+    inputs += distinct_denominator_inputs() + no_circuit_inputs()
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a verdict ran a full scan of its input")
+
+    monkeypatch.setattr(lifting, "in_circuit_variety", fail)
+    monkeypatch.setattr(lifting, "q_general_position", fail)
+    for cfg, gamma, q in inputs:
+        assert lift_dim(cfg, gamma, q) >= 0
+        assert trivial_lifting_dim(cfg, gamma, q) >= 0
+        construct_lifting(cfg, gamma, q)

@@ -26,7 +26,7 @@ from bracketforge.linalg import (
     vec3,
 )
 
-from oracles import fraction_kernel, fraction_rref
+from oracles import dense_rank, fraction_kernel, fraction_rref, peel, sparse_rows
 
 fracs = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 vecs = st.tuples(fracs, fracs, fracs)
@@ -234,7 +234,7 @@ def check_against_bareiss(a):
             assert all(abs(x) <= abs(y) for x, y in zip(row, oracle))
     r = len(pivots)
     assert len(_eliminate([list(row) for row in transposed], False)) == r
-    assert _rank(a) == _rank(transposed) == r
+    assert dense_rank(a) == dense_rank(transposed) == r
 
 
 @given(circuit_layouts())
@@ -251,24 +251,11 @@ def test_elimination_matches_bareiss(m):
 
 
 def test_rank_leaves_its_rows_alone():
-    tall = [[0, 4, 6], [1, 0, 1], [3, 4, 7], [0, 0, 5]]
-    wide = [[0, 4, 6, 2], [1, 0, 1, 1]]
-    assert _rank(tall) == 3 and _rank(wide) == 2
-    assert tall == [[0, 4, 6], [1, 0, 1], [3, 4, 7], [0, 0, 5]]
-    assert wide == [[0, 4, 6, 2], [1, 0, 1, 1]]
-
-
-def peel_rounds(a):
-    """How many rounds of setting aside the rows that are the only nonzero of
-    some column `_rank` can take on a."""
-    live, rounds = [row for row in a if any(row)], 0
-    while True:
-        single = {c for c in range(len(a[0]) if a else 0)
-                  if sum(1 for row in live if row[c]) == 1}
-        if not single:
-            return rounds
-        live = [row for row in live if not any(row[c] for c in single)]
-        rounds += 1
+    tall = sparse_rows([[0, 4, 6], [1, 0, 1], [3, 4, 7], [0, 0, 5]])
+    wide = sparse_rows([[0, 4, 6, 2], [1, 0, 1, 1]])
+    assert _rank(tall, 3) == 3 and _rank(wide, 4) == 2
+    assert tall == sparse_rows([[0, 4, 6], [1, 0, 1], [3, 4, 7], [0, 0, 5]])
+    assert wide == sparse_rows([[0, 4, 6, 2], [1, 0, 1, 1]])
 
 
 def sparse_matrix(rng):
@@ -305,11 +292,11 @@ def test_rank_peel_matches_fraction_oracle():
         a = sparse_matrix(rng)
         copy = [list(row) for row in a]
         want = len(fraction_rref(a)[1])
-        assert _rank(a) == want, a
+        assert dense_rank(a) == want, a
         assert a == copy
         if a:
-            assert _rank([list(col) for col in zip(*a)]) == want, a
-        rounds = peel_rounds(a)
+            assert dense_rank([list(col) for col in zip(*a)]) == want, a
+        rounds = peel(a)[1]
         seen["empty"] += not a
         seen["tall"] += len(a) > len(a[0]) if a else 0
         seen["zero row"] += any(not any(row) for row in a)
@@ -317,6 +304,32 @@ def test_rank_peel_matches_fraction_oracle():
         seen["cascade"] += rounds >= 2
         seen["no peel"] += bool(a) and rounds == 0 and want > 0
     assert min(seen.values()) >= 10, seen
+
+
+def test_sparse_rank_on_three_nonzero_rows():
+    """`_rank` of rows of three (column, value) pairs, as the lifting
+    verdicts build them, in random columns, against the Fraction RREF: rows
+    that all peel and rows that leave a core to eliminate, tall and wide."""
+    rng = random.Random(28)
+    seen = {"empty core": 0, "core": 0, "tall core": 0, "wide core": 0}
+    for _ in range(500):
+        ncols, nrows = rng.randint(3, 12), rng.randint(0, 14)
+        rows = [[(c, rng.choice([-4, -2, -1, 1, 3, 5])) for c in rng.sample(range(ncols), 3)]
+                for _ in range(nrows)]
+        dense = [[0] * ncols for _ in rows]
+        for row, pairs in zip(dense, rows):
+            for c, x in pairs:
+                row[c] = x
+        want = len(fraction_rref(dense)[1])
+        copy = [list(row) for row in rows]
+        assert _rank(rows, ncols) == want, rows
+        assert rows == copy
+        core = peel(dense)[0]
+        seen["core" if core else "empty core"] += 1
+        if core:
+            live = sum(1 for col in zip(*core) if any(col))
+            seen["tall core" if len(core) > live else "wide core"] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 def test_realization_rank_with_coordinate_axis_points():
@@ -340,9 +353,9 @@ def test_realization_rank_with_coordinate_axis_points():
         want = len(fraction_rref([list(c) for c in cols])[1])
         gamma = Realization(tuple(cols))
         assert gamma.rank() == want, cols
-        assert _rank(gamma._integer_view[0]) == want, cols
+        assert dense_rank(gamma._integer_view[0]) == want, cols
         ranks.add(want)
-        peeled += peel_rounds([list(c) for c in cols]) > 0
+        peeled += peel([list(c) for c in cols])[1] > 0
     assert ranks == {1, 2, 3} and peeled >= 50
 
 
@@ -364,11 +377,11 @@ def check_span_rank(vectors: list, want=None) -> int:
     nonzero factor per vector) against the Fraction RREF and `_rank`."""
     oracle = len(fraction_rref(vectors)[1])
     assert want is None or oracle == want
-    assert _span_rank(vectors) == _rank(vectors) == oracle, vectors
+    assert _span_rank(vectors) == dense_rank(vectors) == oracle, vectors
     fracs = [tuple(F(i + 1, 2 * i + 3) * (-1) ** i * x for x in v)
              for i, v in enumerate(vectors)]
     assert len(fraction_rref(fracs)[1]) == oracle
-    assert _span_rank(fracs) == _rank(_integer_rows(fracs)[0]) == oracle, fracs
+    assert _span_rank(fracs) == dense_rank(_integer_rows(fracs)[0]) == oracle, fracs
     assert _span_rank(iter(fracs)) == oracle
     return oracle
 
