@@ -181,9 +181,7 @@ def cmd_verify(args) -> tuple[dict, int]:
 
 
 def cmd_decompose(cfg: Config, args) -> tuple[dict, int]:
-    name = preset_name(cfg)
-    name = name if name in harness.PRESET_DECOMPOSITIONS else "cactus"
-    rep = harness.decomposition_report(name, cfg)
+    rep = harness.decomposition_report(cfg)
     return {
         "preset": rep.preset,
         "count": rep.count,

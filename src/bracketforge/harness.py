@@ -19,7 +19,15 @@ from functools import cache, partial
 from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
-from .config import Config, admissible_ordering, cactus_check, free_glue, preset, q_points
+from .config import (
+    Config,
+    admissible_ordering,
+    cactus_check,
+    free_glue,
+    preset,
+    preset_name,
+    q_points,
+)
 from .gc import gm_generators
 from .linalg import (
     ZERO3,
@@ -416,20 +424,16 @@ def _pappus_components(m: Config) -> list[DecompComponent]:
 PRESET_DECOMPOSITIONS = {"pascal": _pascal_components, "pappus": _pappus_components}
 
 
-def decomposition_report(name: str, cfg: Optional[Config] = None) -> DecompReport:
-    """The published decomposition of a PRESET_DECOMPOSITIONS key; for
-    "cactus", the upper bound of the cactus configuration cfg."""
+def decomposition_report(cfg: Config) -> DecompReport:
+    """The published decomposition of a PRESET_DECOMPOSITIONS configuration
+    (`preset_name`), or the upper bound of a cactus configuration."""
+    name = preset_name(cfg)
     if name in PRESET_DECOMPOSITIONS:
-        m = preset(name)
         comps = [
-            DecompComponent("V_M", "the configuration itself", m),
+            DecompComponent("V_M", "the configuration itself", cfg),
             DecompComponent("V_U29", "all nine points on one line", preset("line:9")),
         ]
-        return DecompReport(name, comps + PRESET_DECOMPOSITIONS[name](m))
-    if name != "cactus":
-        raise FixtureError(f"unknown decomposition preset {name!r}")
-    if cfg is None:
-        raise FixtureError("cactus decomposition needs a configuration")
+        return DecompReport(name, comps + PRESET_DECOMPOSITIONS[name](cfg))
     if not cactus_check(cfg).is_cactus:
         raise FixtureError("not a cactus configuration")
     qm = sorted(q_points(cfg))
@@ -559,7 +563,11 @@ def collinear_realization(cfg: Config, seed: int = 0) -> Realization:
 
 
 def generic_q(gamma: Realization, seed: int, cfg: Config) -> Vec3:
-    """A rational q in general position for cfg realized by gamma."""
+    """A rational q in general position for gamma, which must realize the
+    simple configuration cfg in its circuit variety.  Otherwise the first
+    draw raises the error of the single-q verdicts
+    (`lifting.q_general_position`), such as a LiftingError naming the first
+    violated circuit."""
     from .lifting import q_general_position
 
     def make(rng: random.Random) -> Vec3:

@@ -7,43 +7,18 @@ kernel at a planar collection gamma parametrizes the ways to lift gamma out
 of its plane along the direction q while preserving the circuits to first
 order.
 
-`lift_matrix` builds the matrix, with one symbolic q or one fixed q vector
-per column (`QScheme`); a fixed q shared by all columns is the symbolic
-matrix evaluated at q.  One builder, `LiftMatrix._values`, gives its
-selected entries at gamma from cross products, [u v q] = dot(cross(gamma_u,
-gamma_v), q), with no polynomial; `evaluate` and `minor_eval` read it.  The
-bracket polynomials (`entries`) are expanded on first use, only where a
-polynomial is the result (symbolic minors, and the tests' reference); the
-circuits and printed shorthand cost no expansion.  A descriptor is one minor
-of its matrix, with its own q per column: `eval_descriptor` is that matrix's
-`minor_eval`, whose indices `poly._check_minor` checks, and
-`MinorDescriptor.restrict` maps a realization of the preset to one of the
-descriptor's matrix.  The single-q verdicts (lifting dimensions, liftings)
-share one prologue, `_check_lifting_input`: it clears q, takes cross(g_v, q)
-for every integer column g_v once, and checks the input in one scan per line
-(`_frame_pairs`) that also finds the line's frame pair, an independent pair
-(a, b) with [a b q] != 0.  The full checks (`in_circuit_variety`) run only
-to name a fault the scan met.  The verdict that reads the liftability matrix
-builds it from the crosses and frame pairs on the realization's integer
-columns (`_integer_lift_rows`); its rows differ from Fraction rows only by
-positive row scalings and one positive scaling per column, which keep the
-rank and scale each kernel vector back exactly.
-Of the C(k, 3) rows of a k-point line it builds only the k - 2 frame rows,
-the circuits {a, b, c} of the frame pair: once the input is checked (every
-circuit vanishes, q in general position), the Grassmann-Pluecker relation
-puts the line's other rows in their span, so the rank, the RREF and the
-kernel are the whole matrix's.  Each row is three (column, value) pairs; the
-rank (`linalg._rank`) sets aside on these supports the rows that own a
-column and eliminates only the rows left, and the elimination
-(`linalg._eliminate`) updates only the rows with a nonzero in the pivot
-column, keeping each row primitive.  `construct_lifting` tries each kernel
-vector z = w / den, w an integer vector (`linalg._integer_kernel`), on
-integers: the columns g_i * den * s_q + w_i * s_i * q' are positive
-multiples of gamma_i + z_i q, so their rank (`linalg._span_rank`) and their
-circuit witness (`harness._circuit_witness`) are the lifting's, and the
-Fractions of the returned lifting are the only ones built, one per
-coordinate.  The planar and spanning tests of the liftings take
-`_span_rank` too.
+- `lift_matrix` builds a `LiftMatrix` with one symbolic q or one fixed q
+  per column (`QScheme`).  `LiftMatrix._values` is its one numeric builder,
+  read by `evaluate` and `minor_eval`; `entries` expands the bracket
+  polynomials only where a polynomial is the result.
+- A `MinorDescriptor` is one (d - 2)-minor of a preset's matrix with its q
+  assignment (`PRESET_MINOR_RECIPES`); `eval_descriptor` is that matrix's
+  `minor_eval`.
+- The single-q verdicts `lift_dim`, `construct_lifting` and
+  `trivial_lifting_dim` share one input check, `_scan_lifting_input`, which
+  `q_general_position` answers from too.  They build the liftability matrix
+  on the realization's integer columns, k - 2 frame rows per k-point line
+  (`_integer_lift_rows`), and take its rank and kernel in `linalg`.
 """
 
 from __future__ import annotations
@@ -132,7 +107,7 @@ class LiftMatrix:
 
         Entry (circuit, c) is sign * [u v q_c] = sign * dot(cross(gamma_u,
         gamma_v), q_c), with q_c the scheme's vector for column c, or q when
-        the scheme's q is symbolic.
+        the scheme's q is symbolic; q is given exactly then.
         """
         if gamma.d != self.cfg.d:
             raise LiftingError("realization size does not match configuration")
@@ -141,6 +116,8 @@ class LiftMatrix:
             if q is None:
                 raise ValueError("the matrix has a symbolic q but no q value given")
             q_cols = (q,) * self.cfg.d
+        elif q is not None:
+            raise ValueError("the matrix has one q per column; a q value was given")
         layout = _circuit_rows(self.cfg)
         out = []
         for r in rows:
@@ -152,8 +129,8 @@ class LiftMatrix:
         return out
 
     def evaluate(self, gamma: Realization, q: Optional[Vec3] = None) -> list[list[Fraction]]:
-        """The matrix at gamma; q is the direction for a symbolic-q matrix
-        and is ignored otherwise."""
+        """The matrix at gamma; q is the direction of a symbolic-q matrix,
+        and a per-column matrix takes none."""
         return self._values(gamma, q, range(len(self.circuits)), range(self.cfg.d))
 
     def minor(self, rows: Sequence[int], cols: Sequence[int]) -> BracketPoly:
@@ -203,10 +180,11 @@ def lift_matrix(cfg: Config, scheme: QScheme) -> LiftMatrix:
 # Minor descriptors and counts
 
 PRESET_MINOR_RECIPES = {
-    # preset -> list of (deleted point or None, minor size, q mode)
-    "pascal": [(None, 7, "basis")],
-    "pappus": [(None, 7, "basis")] + [(i, 6, "basis") for i in range(1, 10)],
-    "qs": [(None, 4, "symbolic")],
+    # preset -> list of (deleted point or None, q mode); the minor size is
+    # d - 2 of the matrix's configuration
+    "pascal": [(None, "basis")],
+    "pappus": [(None, "basis")] + [(i, "basis") for i in range(1, 10)],
+    "qs": [(None, "symbolic")],
 }
 
 
@@ -251,15 +229,19 @@ def _recipe_matrices(preset: str):
     """Per liftability matrix of a preset: (deleted, size, qmode, cfg, count),
     count being its number of descriptors.
 
-    A minor position is a choice of `size` columns (for square matrices the
-    omitted rows are the positionally matching ones, so positions are in
-    bijection with column choices); each position is counted once per
-    basis-vector assignment to all matrix columns, or once if q is symbolic.
+    The minors have size d - 2 of the matrix's configuration: on a rank-3
+    realization the trivial liftings z_i = h(gamma_i) put 3 dimensions in
+    the kernel, so every (d - 2)-minor vanishes.  A minor position is a choice of `size`
+    columns (for square matrices the omitted rows are the positionally
+    matching ones, so positions are in bijection with column choices); each
+    position is counted once per basis-vector assignment to all matrix
+    columns, or once if q is symbolic.
     """
     if preset not in PRESET_MINOR_RECIPES:
         raise LiftingError(f"unknown lifting preset {preset!r}")
-    for deleted, size, qmode in PRESET_MINOR_RECIPES[preset]:
+    for deleted, qmode in PRESET_MINOR_RECIPES[preset]:
         cfg = _matrix_config(preset, deleted)
+        size = cfg.d - 2
         count = comb(cfg.d, size) * (3 ** cfg.d if qmode == "basis" else 1)
         yield deleted, size, qmode, cfg, count
 
@@ -340,37 +322,16 @@ def eval_descriptor(
 # Lifting dimensions
 
 
-def _clear_q(gamma: Realization, q: Vec3) -> tuple[tuple[int, ...], int, list[Vec3]]:
-    """(q', s_q, by_q): q' = s_q * q is q with its denominators cleared, and
-    by_q[v - 1] = cross(g_v, q') for every integer column g_v of gamma
-    (`_integer_view`).  A single-q verdict takes these once and shares them
-    between its input check and its liftability rows."""
-    (q_int,), (s_q,) = _integer_rows([q])
-    return q_int, s_q, [cross(v, q_int) for v in gamma._integer_view[0]]
-
-
 def q_general_position(cfg: Config, gamma: Realization, q: Vec3) -> bool:
-    """q outside every realized line and every point span.
+    """Whether q is in general position for gamma, a realization of cfg in
+    its circuit variety: True exactly when the single-q verdicts accept the
+    input, False when only q's position fails.
 
-    On integer columns g and q': q' lies on the span of a nonzero point iff
-    cross(g, q') = 0, and on the line of a pair (a, b) iff
-    det(a, b, q') = dot(a, cross(b, q')) = 0 and the pair is independent.
-    cross(g, q') is taken once per point, and cross(a, b) only for a pair
-    whose determinant is 0.  Every pair of every line is tested, so gamma
-    need not satisfy the circuits.
+    Any other fault raises the verdicts' own error (`_scan_lifting_input`):
+    ConfigError for a non-simple cfg, LiftingError for a size mismatch or
+    naming the first circuit gamma violates.
     """
-    q_int, _, by_q = _clear_q(gamma, q)
-    if not any(q_int):
-        return False
-    cols = gamma._integer_view[0]
-    for p in cfg.nonloop_points:
-        if any(cols[p - 1]) and not any(by_q[p - 1]):
-            return False
-    for l in cfg.lines:
-        for a, b in combinations(l, 2):
-            if dot(cols[a - 1], by_q[b - 1]) == 0 and any(cross(cols[a - 1], cols[b - 1])):
-                return False
-    return True
+    return _scan_lifting_input(cfg, gamma, q) is not None
 
 
 def _frame_pairs(cfg: Config, cols, by_q) -> Optional[list[tuple[tuple[int, ...], int, int, int]]]:
@@ -402,49 +363,63 @@ def _frame_pairs(cfg: Config, cols, by_q) -> Optional[list[tuple[tuple[int, ...]
     return frames
 
 
-def _check_lifting_input(cfg: Config, gamma: Realization, q: Vec3):
-    """Raise LiftingError unless a single-q verdict applies; return (q',
-    s_q, by_q) of `_clear_q` and the frame pairs of `_frame_pairs`, from
-    which a verdict that reads the liftability matrix builds its frame rows
+def _scan_lifting_input(cfg: Config, gamma: Realization, q: Vec3):
+    """(q', s_q, by_q, frames) when a single-q verdict applies, None when
+    only q's position fails; any other fault raises LiftingError.
+
+    q' = s_q * q is q with its denominators cleared, by_q[v - 1] =
+    cross(g_v, q') for every integer column g_v of gamma (`_integer_view`),
+    and frames are the frame pairs of `_frame_pairs`.  The verdict that reads
+    the liftability matrix builds its frame rows from them
     (`_integer_lift_rows`).
 
     The input applies when every circuit vanishes at gamma and q is in
-    general position (`q_general_position`).  One scan per line decides
-    both: once the frame pair (a, b) of a line is independent and every
-    other point c has [a b c] = 0, the line's points lie in span(g_a, g_b),
-    so every circuit of the line vanishes; and [a b q'] != 0 puts q' off
-    that plane, so off the line of every independent pair on it.  The pairs
-    before the frame pair are dependent, so they have no line.  Besides the
-    scan, q' must be nonzero and off the span of every nonzero point.
+    general position: q' != 0, off the span of every nonzero point, and off
+    the line of every independent pair on a line.  One scan per line decides
+    the last two facts together: once the frame pair (a, b) of a line is
+    independent and every other point c has [a b c] = 0, the line's points
+    lie in span(g_a, g_b), so every circuit of the line vanishes; and
+    [a b q'] != 0 puts q' off that plane, so off the line of every
+    independent pair on it.  The pairs before the frame pair are dependent,
+    so they have no line.
 
     A fault the scan meets is either a point c off span(g_a, g_b), which
     violates the circuit {a, b, c}, or an independent pair with [a b q'] =
-    0, which puts q on its line.  So when the scan or the point check fails,
-    `in_circuit_variety` is called and names the first violated circuit, as
-    when the circuits were checked first.  The first kind of fault always
-    leaves it a witness, so when it finds none the fault is of the second
-    kind or of the point check: q is not in general position.
+    0, which puts q on its line.  So on any fault `in_circuit_variety` names
+    the first violated circuit, as when the circuits were checked first.
+    The first kind of fault always leaves it a witness, so when it finds
+    none, q is not in general position.
     """
     cfg._require_simple()
     if gamma.d != cfg.d:
         raise LiftingError("realization size does not match configuration")
-    q_int, s_q, by_q = _clear_q(gamma, q)
+    (q_int,), (s_q,) = _integer_rows([q])
     cols = gamma._integer_view[0]
-    frames = _frame_pairs(cfg, cols, by_q)
-    if (frames is None or not any(q_int)
-            or any(any(g) and not any(g_q) for g, g_q in zip(cols, by_q))):
-        ok, witness = in_circuit_variety(cfg, gamma)
-        if not ok:
-            raise LiftingError(f"realization violates a circuit of the configuration: {witness}")
+    by_q = [cross(v, q_int) for v in cols]
+    if any(q_int) and all(any(g_q) or not any(g) for g, g_q in zip(cols, by_q)):
+        frames = _frame_pairs(cfg, cols, by_q)
+        if frames is not None:
+            return q_int, s_q, by_q, frames
+    ok, witness = in_circuit_variety(cfg, gamma)
+    if not ok:
+        raise LiftingError(f"realization violates a circuit of the configuration: {witness}")
+    return None
+
+
+def _check_lifting_input(cfg: Config, gamma: Realization, q: Vec3):
+    """The prologue of the single-q verdicts: `_scan_lifting_input`, with
+    q out of general position a LiftingError too."""
+    checked = _scan_lifting_input(cfg, gamma, q)
+    if checked is None:
         raise LiftingError("q is not in general position for this realization")
-    return q_int, s_q, by_q, frames
+    return checked
 
 
 def _integer_lift_rows(gamma: Realization, by_q, frames) -> list[tuple[tuple[int, int], ...]]:
     """The frame rows of the liftability matrix at gamma with q in every
-    column, on integers, from the crosses by_q of `_clear_q` and the frame
-    pairs of `_check_lifting_input`, as `linalg._rank` takes them: each row
-    is three (0-based column, value) pairs.
+    column, on integers, from the crosses by_q and the frame pairs of
+    `_scan_lifting_input`, as `linalg._rank` takes them: each row is three
+    (0-based column, value) pairs.
 
     With the integer columns g_c = s_c * gamma_c (`_integer_view`) and the
     integer q' = s_q * q, entry (circuit, c) is the signed bracket [u v q'] =
@@ -457,7 +432,7 @@ def _integer_lift_rows(gamma: Realization, by_q, frames) -> list[tuple[tuple[int
     c any other point of L: [b c q'], [c a q'], [a b q'] in columns a, b, c,
     negated when a < c < b to match the layout's sorted circuit.  These
     k_L - 2 rows span all C(k_L, 3) rows of L, given what
-    `_check_lifting_input` has established: L's points lie in span(g_a,
+    `_scan_lifting_input` has established: L's points lie in span(g_a,
     g_b), and [a b q'] != 0 exactly when g_a and g_b are independent.  By the
     Grassmann-Pluecker relation
     [y z q] gamma_x - [x z q] gamma_y + [x y q] gamma_z = [x y z] q = 0

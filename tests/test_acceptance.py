@@ -241,9 +241,9 @@ def test_criterion_6_dimension_formula():
 
 def test_criterion_7_decompositions():
     counts = (
-        decomposition_report("pascal").count,
-        decomposition_report("pappus").count,
-        decomposition_report("cactus", preset("cactus14")).count,
+        decomposition_report(preset("pascal")).count,
+        decomposition_report(preset("pappus")).count,
+        decomposition_report(preset("cactus14")).count,
     )
     ok = counts == (5, 32, 8)
     assert report(7, ok, f"Pascal/Pappus/cactus14 component counts {counts} (want (5, 32, 8))")

@@ -39,7 +39,7 @@ def _configs():
     named = [(n, preset(n)) for n in sorted(_FIXED_PRESETS) + ["line:5", "cycle:4:4"]]
     named += [(f"random_cactus({s})", random_cactus(s)) for s in range(20)]
     for name in ("pascal", "pappus"):
-        for i, comp in enumerate(decomposition_report(name).components):
+        for i, comp in enumerate(decomposition_report(preset(name)).components):
             named.append((f"{name} component {i}", comp.cfg))
     return named
 

@@ -221,29 +221,33 @@ def test_counterexample_point_is_in_circuit_variety():
 
 
 def test_decomposition_counts():
-    pascal = decomposition_report("pascal")
+    pascal = decomposition_report(preset("pascal"))
     assert pascal.count == 5
     assert components_distinct(pascal)
-    pappus = decomposition_report("pappus")
+    pappus = decomposition_report(preset("pappus"))
     assert pappus.count == 32
     assert components_distinct(pappus)
-    cactus = decomposition_report("cactus", preset("cactus14"))
+    cactus = decomposition_report(preset("cactus14"))
     assert cactus.count == 8
     assert cactus.upper_bound_only
 
 
-def test_decomposition_report_rejects_an_unknown_name():
-    """A name without a published decomposition is an error, also when a
-    cactus configuration is given: it is not read as "cactus"."""
-    for cfg in (None, preset("cactus14")):
-        with pytest.raises(FixtureError, match="unknown decomposition preset 'papus'"):
-            decomposition_report("papus", cfg)
-    with pytest.raises(FixtureError, match="needs a configuration"):
-        decomposition_report("cactus")
+def test_decomposition_report_dispatches_on_the_configuration():
+    """A configuration equal to a preset with a published decomposition gets
+    it, however its lines are listed; any other configuration gets the
+    cactus bound, and one that is not a cactus is an error."""
+    pappus = preset("pappus")
+    relisted = Config(9, lines=[tuple(reversed(l)) for l in reversed(pappus.lines)])
+    assert decomposition_report(relisted) == decomposition_report(pappus)
+    assert decomposition_report(relisted).preset == "pappus"
+    assert decomposition_report(preset("cactus14")).preset == "cactus"
+    for cfg in (preset("qs"), preset("fano"), preset("grid3x3")):
+        with pytest.raises(FixtureError, match="not a cactus configuration"):
+            decomposition_report(cfg)
 
 
 def test_pappus_decomposition_structure():
-    kinds = [c.kind for c in decomposition_report("pappus").components]
+    kinds = [c.kind for c in decomposition_report(preset("pappus")).components]
     from collections import Counter
 
     counts = Counter(kinds)

@@ -79,6 +79,22 @@ def test_per_column_scheme_length_must_equal_d():
     ]
 
 
+def test_per_column_matrix_rejects_a_q():
+    """A per-column matrix has its q in its scheme: a q given to it, or to a
+    basis-vector descriptor, is an error, not ignored."""
+    cfg = preset("qs")
+    m = lift_matrix(cfg, QScheme.per_col((E1, E2, E3) * 2))
+    g = collinear_realization(cfg, 0)
+    q = vec3(1, 2, 5)
+    with pytest.raises(ValueError, match="one q per column"):
+        m.evaluate(g, q)
+    with pytest.raises(ValueError, match="one q per column"):
+        m.minor_eval((0, 1, 2, 3), (0, 1, 2, 3), g, q)
+    desc = next(iter_descriptors("pascal", 1))
+    with pytest.raises(ValueError, match="one q per column"):
+        eval_descriptor(desc, pascal_family_sample(0), q)
+
+
 def test_minor_eval_checks_realization_size():
     m = lift_matrix(preset("qs"), QScheme.symbolic())
     with pytest.raises(LiftingError, match="size"):

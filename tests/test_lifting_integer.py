@@ -433,13 +433,34 @@ def degenerate_q_inputs(seed: int):
 
 
 def test_q_general_position_matches_all_pairs_cross_products():
-    verdicts = []
-    for seed in range(400):
-        cfg, gamma, q = degenerate_q_inputs(seed)
-        want = old_q_general_position(cfg, gamma, q)
-        assert q_general_position(cfg, gamma, q) == want, seed
-        verdicts.append(want)
-    assert 40 < sum(verdicts) < 360
+    """On inputs in the circuit variety q_general_position agrees with the
+    all-pairs test; on the others it raises the verdicts' circuit error."""
+    inputs = [degenerate_q_inputs(seed) for seed in range(400)]
+    inputs += [x[1:] for x in lift_kernel_inputs(1, 1)]
+    inputs += [x for group in frame_inputs().values() for x in group]
+    verdicts, faults = [], 0
+    for cfg, gamma, q in inputs:
+        if in_circuit_variety(cfg, gamma)[0]:
+            want = old_q_general_position(cfg, gamma, q)
+            assert q_general_position(cfg, gamma, q) == want, (cfg, gamma, q)
+            verdicts.append(want)
+        else:
+            want = prologue_outcome(two_scan_prologue, cfg, gamma, q)
+            assert want.startswith("LiftingError: realization violates a circuit"), want
+            assert prologue_outcome(q_general_position, cfg, gamma, q) == want
+            faults += 1
+    assert min(verdicts.count(True), verdicts.count(False)) >= 20
+    assert faults == 298
+
+
+def test_generic_q_rejects_a_realization_off_the_circuit_variety():
+    """The first draw raises the verdicts' circuit error.  Point 6 is on the
+    line (1, 2, 5, 6) alone, and moving it violates {1, 2, 6}."""
+    c44 = preset("cycle:4:4")
+    gamma = moved(collinear_realization(c44, 1), 6, (1, -2, 3))
+    with pytest.raises(LiftingError, match=r"violates a circuit of the configuration: "
+                                           r"circuit \{1,2,6\} "):
+        generic_q(gamma, 0, c44)
 
 
 # ---------------------------------------------------------------------------
