@@ -16,9 +16,10 @@ order.
   `minor_eval`.
 - The single-q verdicts `lift_dim`, `construct_lifting` and
   `trivial_lifting_dim` share one input check, `_scan_lifting_input`, which
-  `q_general_position` answers from too.  They build the liftability matrix
-  on the realization's integer columns, k - 2 frame rows per k-point line
-  (`_integer_lift_rows`), and take its rank and kernel in `linalg`.
+  `q_general_position` answers from too.  Its one pass per line checks the
+  line and builds the line's frame rows of the liftability matrix on the
+  realization's integer columns, k - 2 per k-point line; the verdicts take
+  their rank and kernel in `linalg`.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import combinations, product
-from math import comb
+from math import comb, lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import config
@@ -39,7 +40,6 @@ from .linalg import (
     Realization,
     Vec3,
     _integer_kernel,
-    _integer_rows,
     _rank,
     _span_rank,
     cross,
@@ -188,7 +188,7 @@ PRESET_MINOR_RECIPES = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MinorDescriptor:
     """One lifting generator: a minor position plus a q assignment.
 
@@ -334,72 +334,96 @@ def q_general_position(cfg: Config, gamma: Realization, q: Vec3) -> bool:
     return _scan_lifting_input(cfg, gamma, q) is not None
 
 
-def _frame_pairs(cfg: Config, cols, by_q) -> Optional[list[tuple[tuple[int, ...], int, int, int]]]:
-    """One scan per line of the integer columns cols: (line, a, b, [a b q'])
-    for each line with an independent pair, (a, b) its frame pair, or None
-    when the scan meets a fault.
-
-    The line's pairs are walked in `combinations` order.  A pair with
-    [a b q'] = dot(g_a, by_q[b - 1]) = 0 must be dependent (cross(g_a, g_b)
-    = 0); the first pair with [a b q'] != 0 is the frame pair, and every
-    other point c of the line must have dot(cross(g_a, g_b), g_c) = 0.
-    A line whose pairs are all dependent has no frame pair.
-    """
-    frames = []
-    for line in cfg.lines:
-        for a, b in combinations(line, 2):
-            ab = dot(cols[a - 1], by_q[b - 1])
-            if ab:
-                break
-            if any(cross(cols[a - 1], cols[b - 1])):
-                return None
-        else:
-            continue
-        normal = cross(cols[a - 1], cols[b - 1])
-        for c in line:
-            if c != a and c != b and dot(normal, cols[c - 1]):
-                return None
-        frames.append((line, a, b, ab))
-    return frames
-
-
 def _scan_lifting_input(cfg: Config, gamma: Realization, q: Vec3):
-    """(q', s_q, by_q, frames) when a single-q verdict applies, None when
-    only q's position fails; any other fault raises LiftingError.
+    """(q', s_q, rows) when a single-q verdict applies, None when only q's
+    position fails; any other fault raises LiftingError.
 
-    q' = s_q * q is q with its denominators cleared, by_q[v - 1] =
-    cross(g_v, q') for every integer column g_v of gamma (`_integer_view`),
-    and frames are the frame pairs of `_frame_pairs`.  The verdict that reads
-    the liftability matrix builds its frame rows from them
-    (`_integer_lift_rows`).
+    q' = s_q * q is q with its denominators cleared, and rows are the frame
+    rows of the liftability matrix at gamma with q in every column, on the
+    integer columns g_v of gamma (`_integer_view`), as `linalg._rank` takes
+    them: each row is three (0-based column, value) pairs.
 
     The input applies when every circuit vanishes at gamma and q is in
     general position: q' != 0, off the span of every nonzero point, and off
-    the line of every independent pair on a line.  One scan per line decides
-    the last two facts together: once the frame pair (a, b) of a line is
-    independent and every other point c has [a b c] = 0, the line's points
-    lie in span(g_a, g_b), so every circuit of the line vanishes; and
+    the line of every independent pair on a line.  The loop that builds the
+    crosses g_v x q' tests the points.  Then one scan per line finds its
+    frame pair (a, b), the first pair in `combinations` order with [a b q'] =
+    dot(g_a, g_b x q') != 0; the pairs before it must be dependent, so they
+    have no line.  Every other point c must have [a b c] = 0: then the line's
+    points lie in span(g_a, g_b), so every circuit of the line vanishes, and
     [a b q'] != 0 puts q' off that plane, so off the line of every
-    independent pair on it.  The pairs before the frame pair are dependent,
-    so they have no line.
+    independent pair on it.  A line whose pairs are all dependent has no
+    frame pair and only zero rows.
 
-    A fault the scan meets is either a point c off span(g_a, g_b), which
-    violates the circuit {a, b, c}, or an independent pair with [a b q'] =
-    0, which puts q on its line.  So on any fault `in_circuit_variety` names
-    the first violated circuit, as when the circuits were checked first.
-    The first kind of fault always leaves it a witness, so when it finds
-    none, q is not in general position.
+    Once c is checked, its frame row is the row of the circuit {a, b, c}:
+    [b c q'], [c a q'], [a b q'] in columns a, b, c, negated when a < c < b
+    to match the `_circuit_rows` layout's sorted circuit.  An entry [u v q']
+    is its Fraction entry times s_q * s_u * s_v, so a row is the Fraction row
+    of its circuit times s_q and the s_v over the circuit, with column v
+    divided by s_v.  The k_L - 2 frame rows of a line L span all its C(k_L, 3)
+    rows: by the Grassmann-Pluecker relation
+    [y z q] gamma_x - [x z q] gamma_y + [x y q] gamma_z = [x y z] q = 0
+    for a circuit {x < y < z} of L, every row of L vanishes on both
+    coordinate vectors of L's points in the basis (g_a, g_b), so L's rows span
+    at most k_L - 2 dimensions, and the frame rows, each the only one nonzero
+    in its column c, are k_L - 2 independent rows.  So the rank, the RREF and
+    the kernel are the whole matrix's.
+
+    A fault the scan meets is a point c off span(g_a, g_b), which violates
+    the circuit {a, b, c}, or q' on the span of a point or on the line of an
+    independent pair; `_scan_fault` tells them apart.  The crosses and dot
+    products of the per-point loops are written out on coordinates, as
+    `linalg.det3` is: on these small integers a call costs more than its
+    arithmetic.
     """
     cfg._require_simple()
     if gamma.d != cfg.d:
         raise LiftingError("realization size does not match configuration")
-    (q_int,), (s_q,) = _integer_rows([q])
+    x0, x1, x2 = q
+    s_q = lcm(x0.denominator, x1.denominator, x2.denominator)
+    q0, q1, q2 = q_int = [x.numerator * (s_q // x.denominator) for x in q]
+    if not (q0 or q1 or q2):
+        return _scan_fault(cfg, gamma)
     cols = gamma._integer_view[0]
-    by_q = [cross(v, q_int) for v in cols]
-    if any(q_int) and all(any(g_q) or not any(g) for g, g_q in zip(cols, by_q)):
-        frames = _frame_pairs(cfg, cols, by_q)
-        if frames is not None:
-            return q_int, s_q, by_q, frames
+    by_q = []
+    for g in cols:
+        g0, g1, g2 = g
+        g_q = (g1 * q2 - g2 * q1, g2 * q0 - g0 * q2, g0 * q1 - g1 * q0)
+        if not any(g_q) and any(g):
+            return _scan_fault(cfg, gamma)
+        by_q.append(g_q)
+    rows = []
+    for line in cfg.lines:
+        for a, b in combinations(line, 2):
+            g_a = cols[a - 1]
+            ab = dot(g_a, by_q[b - 1])
+            if ab:
+                break
+            if any(cross(g_a, cols[b - 1])):
+                return _scan_fault(cfg, gamma)
+        else:
+            continue
+        n0, n1, n2 = cross(g_a, cols[b - 1])
+        b0, b1, b2 = cols[b - 1]
+        a0, a1, a2 = by_q[a - 1]
+        for c in line:
+            if c != a and c != b:
+                c0, c1, c2 = cols[c - 1]
+                if n0 * c0 + n1 * c1 + n2 * c2:
+                    return _scan_fault(cfg, gamma)
+                u0, u1, u2 = by_q[c - 1]
+                sign = -1 if a < c < b else 1
+                rows.append(((a - 1, sign * (b0 * u0 + b1 * u1 + b2 * u2)),
+                             (b - 1, sign * (c0 * a0 + c1 * a1 + c2 * a2)), (c - 1, sign * ab)))
+    return q_int, s_q, rows
+
+
+def _scan_fault(cfg: Config, gamma: Realization) -> None:
+    """The outcome of a scan that met a fault: the LiftingError naming the
+    first circuit gamma violates (`in_circuit_variety`), as when the circuits
+    were checked first, or None.  A point off its line's frame plane always
+    leaves a violated circuit, so when there is none, q is not in general
+    position."""
     ok, witness = in_circuit_variety(cfg, gamma)
     if not ok:
         raise LiftingError(f"realization violates a circuit of the configuration: {witness}")
@@ -415,52 +439,9 @@ def _check_lifting_input(cfg: Config, gamma: Realization, q: Vec3):
     return checked
 
 
-def _integer_lift_rows(gamma: Realization, by_q, frames) -> list[tuple[tuple[int, int], ...]]:
-    """The frame rows of the liftability matrix at gamma with q in every
-    column, on integers, from the crosses by_q and the frame pairs of
-    `_scan_lifting_input`, as `linalg._rank` takes them: each row is three
-    (0-based column, value) pairs.
-
-    With the integer columns g_c = s_c * gamma_c (`_integer_view`) and the
-    integer q' = s_q * q, entry (circuit, c) is the signed bracket [u v q'] =
-    dot(g_u, cross(g_v, q')) of the `_circuit_rows` layout, so a row is the
-    Fraction row of its circuit times s_q and the s_c over the circuit, with
-    column c divided by s_c.
-
-    Per line L with frame pair (a, b), the first pair in `combinations`
-    order with [a b q'] != 0, the rows are those of the circuits {a, b, c},
-    c any other point of L: [b c q'], [c a q'], [a b q'] in columns a, b, c,
-    negated when a < c < b to match the layout's sorted circuit.  These
-    k_L - 2 rows span all C(k_L, 3) rows of L, given what
-    `_scan_lifting_input` has established: L's points lie in span(g_a,
-    g_b), and [a b q'] != 0 exactly when g_a and g_b are independent.  By the
-    Grassmann-Pluecker relation
-    [y z q] gamma_x - [x z q] gamma_y + [x y q] gamma_z = [x y z] q = 0
-    for a circuit {x < y < z} of L, every row of L vanishes on both
-    coordinate vectors of L's points in the basis (g_a, g_b): L's rows span
-    at most k_L - 2 dimensions, and the frame rows, each the only one
-    nonzero in its column c, are k_L - 2 independent rows.  So the rank, the
-    RREF and the kernel are the whole matrix's.  A line with no independent
-    pair has only zero rows and builds none.
-    """
-    cols = gamma._integer_view[0]
-    rows = []
-    for line, a, b, ab in frames:
-        g_b, a_q = cols[b - 1], by_q[a - 1]
-        for c in line:
-            if c != a and c != b:
-                sign = -1 if a < c < b else 1
-                rows.append((
-                    (a - 1, sign * dot(g_b, by_q[c - 1])),
-                    (b - 1, sign * dot(cols[c - 1], a_q)),
-                    (c - 1, sign * ab),
-                ))
-    return rows
-
-
 def lift_dim(cfg: Config, gamma: Realization, q: Vec3) -> int:
-    _, _, by_q, frames = _check_lifting_input(cfg, gamma, q)
-    return cfg.d - _rank(_integer_lift_rows(gamma, by_q, frames), cfg.d)
+    _, _, rows = _check_lifting_input(cfg, gamma, q)
+    return cfg.d - _rank(rows, cfg.d)
 
 
 # ---------------------------------------------------------------------------
@@ -505,11 +486,10 @@ def construct_lifting(cfg: Config, gamma: Realization, q: Vec3) -> Optional[Real
     integers, and the Fractions N_ik / den_i of the returned collection are
     built once.
     """
-    q_int, s_q, by_q, frames = _check_lifting_input(cfg, gamma, q)
+    q_int, s_q, rows = _check_lifting_input(cfg, gamma, q)
     ints, mults = gamma._integer_view
     if _span_rank(ints) > 2:
         raise LiftingError("construct_lifting expects a planar (rank <= 2) collection")
-    rows = _integer_lift_rows(gamma, by_q, frames)
     for w, den in _integer_kernel(rows, cfg.d, mults):
         cols, dens = _lifted_columns(gamma, w, den, q_int, s_q)
         if _span_rank(cols) == 3:
@@ -535,10 +515,10 @@ def trivial_lifting_dim(cfg: Config, gamma: Realization, q: Vec3) -> int:
     dimension is rank(gamma) = 2.  Otherwise every lifting stays inside
     span(gamma, q), and the whole kernel counts.
     """
-    q_int, _, by_q, frames = _check_lifting_input(cfg, gamma, q)
+    q_int, _, rows = _check_lifting_input(cfg, gamma, q)
     ints = gamma._integer_view[0]
     if _span_rank(ints) > 2:
         raise LiftingError("trivial_lifting_dim expects a planar (rank <= 2) collection")
     if _span_rank(ints + (q_int,)) == 3:
         return 2
-    return cfg.d - _rank(_integer_lift_rows(gamma, by_q, frames), cfg.d)
+    return cfg.d - _rank(rows, cfg.d)

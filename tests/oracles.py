@@ -148,9 +148,9 @@ def two_scan_prologue(cfg: Config, gamma: Realization, q):
     """The single-q lifting prologue as two full scans, the reference for
     `lifting._check_lifting_input`: every circuit (`in_circuit_variety`),
     then q's general position against every point and every pair of every
-    line.  Returns (q', s_q, by_q, frames) as the prologue does, a frame
-    being (line, a, b, [a b q']) for the first pair of a line with
-    [a b q'] != 0, or raises its LiftingError."""
+    line.  Returns (q', s_q, rows) as the prologue does, the rows those of
+    `frame_rows` for the frames (line, a, b, [a b q']), (a, b) the first
+    pair of a line with [a b q'] != 0, or raises its LiftingError."""
     cfg._require_simple()
     if gamma.d != cfg.d:
         raise LiftingError("realization size does not match configuration")
@@ -174,7 +174,29 @@ def two_scan_prologue(cfg: Config, gamma: Realization, q):
             if ab:
                 frames.append((line, a, b, ab))
                 break
-    return q_int, s_q, by_q, frames
+    return q_int, s_q, frame_rows(gamma, by_q, frames)
+
+
+def frame_rows(gamma: Realization, by_q, frames) -> list:
+    """Reference for the frame rows of `lifting._scan_lifting_input`, built
+    after the scan from the crosses by_q[v - 1] = cross(g_v, q') and the
+    frames (line, a, b, [a b q']): per frame, the row of each circuit
+    {a, b, c}, c any other point of the line, as three (0-based column,
+    value) pairs [b c q'], [c a q'], [a b q'] in columns a, b, c, negated
+    when a < c < b."""
+    cols = gamma._integer_view[0]
+    rows = []
+    for line, a, b, ab in frames:
+        g_b, a_q = cols[b - 1], by_q[a - 1]
+        for c in line:
+            if c != a and c != b:
+                sign = -1 if a < c < b else 1
+                rows.append((
+                    (a - 1, sign * dot(g_b, by_q[c - 1])),
+                    (b - 1, sign * dot(cols[c - 1], a_q)),
+                    (c - 1, sign * ab),
+                ))
+    return rows
 
 
 def fraction_kernel(m):

@@ -29,7 +29,6 @@ from bracketforge.harness import (
 from bracketforge.lifting import (
     LiftingError,
     _check_lifting_input,
-    _integer_lift_rows,
     QScheme,
     construct_lifting,
     lift_dim,
@@ -195,8 +194,7 @@ def check_integer_rows(cfg, gamma, q):
     k_L - 2 circuits per line L with an independent pair, and have the rank
     of the whole Fraction matrix.  Returns the lines with an independent
     pair and the rows the peel of `_rank` leaves (`oracles.peel`)."""
-    _, _, by_q, frames = _check_lifting_input(cfg, gamma, q)
-    ints = _integer_lift_rows(gamma, by_q, frames)
+    _, _, ints = _check_lifting_input(cfg, gamma, q)
     fracs = oracle_rows(cfg, gamma, q)
     _, s = gamma._integer_view
     _, (s_q,) = _integer_rows([q])
@@ -309,11 +307,12 @@ def test_an_inexact_kernel_is_caught_on_the_lifted_columns(monkeypatch):
         assert str(err.value) == f"lifted collection violates a circuit; kernel not exact: {witness}"
 
 
-def test_trivial_lifting_dim_on_a_spanning_q_builds_no_rows(monkeypatch):
+def test_trivial_lifting_dim_on_a_spanning_q_takes_no_rank(monkeypatch):
     def fail(*args, **kwargs):
-        raise AssertionError("trivial_lifting_dim built rows it does not read")
+        raise AssertionError("trivial_lifting_dim eliminated rows it does not read")
 
-    monkeypatch.setattr(lifting, "_integer_lift_rows", fail)
+    monkeypatch.setattr(lifting, "_rank", fail)
+    monkeypatch.setattr(lifting, "_integer_kernel", fail)
     cfg = random_cactus(0)
     gamma = collinear_realization(cfg, 0)
     assert trivial_lifting_dim(cfg, gamma, generic_q(gamma, 0, cfg)) == 2
@@ -509,6 +508,11 @@ def planted_prologue_inputs() -> dict:
                                      "configuration: circuit {1,2,6}"),
         "coincident pair before the frame pair": frames["first-pair-coincides"][1] + ("ok",),
         "line with no independent pair": frames["line-all-coincides"][0] + ("ok",),
+        # point 10 is on the last line (3, 4, 9, 10) alone: the earlier lines
+        # build their frame rows before the scan meets the fault
+        "point off the last line": (c44, moved(flat, 10, (1, -2, 3)), q44,
+                                    "LiftingError: realization violates a circuit of the "
+                                    "configuration: circuit {3,4,10} has nonzero determinant"),
         # q on the first line (1, 2, 3), and point 9, on later lines only, moved
         "general position fault, then a circuit fault": (
             pappus, moved(pappus3, 9, (2, 1, -1)), combined(pappus3, 2, 1, -1, 2),
@@ -557,3 +561,29 @@ def test_valid_inputs_skip_the_full_scans(monkeypatch):
         assert lift_dim(cfg, gamma, q) >= 0
         assert trivial_lifting_dim(cfg, gamma, q) >= 0
         construct_lifting(cfg, gamma, q)
+
+
+# Recorded before the scan built the frame rows: sha256 of the return value
+# (a Realization as its JSON) or the error text of each single-q entry point
+# per input, so the precedence of the error texts is pinned too.
+OUTCOME_GOLDEN = "672091fb951a2b0d9a6d3f98bd12f8c3f96d386d2327ee426c6a6a2a8314b21f"
+
+
+def entry_point_outcome(fn, cfg, gamma, q) -> str:
+    try:
+        got = fn(cfg, gamma, q)
+    except ValueError as err:
+        return f"{type(err).__name__}: {err}"
+    return got.to_json() if isinstance(got, Realization) else str(got)
+
+
+def test_entry_point_outcome_golden():
+    inputs = [x[1:] for x in lift_kernel_inputs(3, 5)]
+    inputs += [degenerate_q_inputs(seed) for seed in range(400)]
+    inputs += [x for group in frame_inputs().values() for x in group]
+    inputs += [x[:3] for x in planted_prologue_inputs().values()]
+    inputs += distinct_denominator_inputs() + no_circuit_inputs() + criterion_6_inputs()
+    lines = [entry_point_outcome(fn, cfg, gamma, q)
+             for cfg, gamma, q in inputs
+             for fn in (lift_dim, construct_lifting, trivial_lifting_dim, q_general_position)]
+    assert sha256_lines(lines) == OUTCOME_GOLDEN
