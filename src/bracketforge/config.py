@@ -3,6 +3,11 @@
 A configuration is a simple-or-not rank-<=3 matroid given by its ground set
 1..d, its lines (maximal collinear sets of >= 3 points), its loops, and its
 parallel classes. All operations are pure; Config instances are immutable.
+
+A Config owns its dependency rule: `circuits3` and `bases` derive it, and
+`violated_dependency` and `violated_independence` check a realization's
+integer columns against its two sides, the circuit variety's dependencies
+and the realization space's independences.
 """
 
 from __future__ import annotations
@@ -13,7 +18,9 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
+
+from .linalg import cross, det3
 
 
 class ConfigError(ValueError):
@@ -46,7 +53,10 @@ class Config:
             raise ConfigError("loop labels outside ground set")
         covered: set[int] = set()
         for cls in self.parallel:
-            if not set(cls) <= ground - self.loops:
+            if not set(cls) <= ground:
+                outside = min(set(cls) - ground)
+                raise ConfigError(f"parallel class {cls} has label {outside} outside 1..{self.d}")
+            if set(cls) & self.loops:
                 raise ConfigError("parallel class outside non-loop points")
             if covered & set(cls):
                 raise ConfigError("parallel classes must be disjoint")
@@ -54,7 +64,10 @@ class Config:
         for l in self.lines:
             if len(l) < 3:
                 raise ConfigError(f"line {l} has fewer than 3 points")
-            if not set(l) <= ground - self.loops:
+            if not set(l) <= ground:
+                outside = min(set(l) - ground)
+                raise ConfigError(f"line {l} has label {outside} outside 1..{self.d}")
+            if set(l) & self.loops:
                 raise ConfigError(f"line {l} not within non-loop points")
         # each point's parallel-class representative, and the lines through
         # the representatives: dependence is decided on these
@@ -163,6 +176,47 @@ class Config:
     def _bases(self) -> tuple[tuple[int, int, int], ...]:
         triples = combinations(self.points, 3)
         return tuple(t for t in triples if not self.is_dependent_triple(t))
+
+    def violated_dependency(self, cols: Sequence[Sequence[int]]) -> Optional[str]:
+        """The first dependency violated by the integer columns cols, one per
+        point 1..d, or None: a nonzero loop, then an independent parallel
+        pair, then a 3-circuit with nonzero determinant.
+
+        The columns are a realization's integer view or any nonzero multiples
+        of its columns: a nonzero multiple of a column keeps the zero pattern
+        of every cross product and determinant, so the violation is the
+        realization's.  A dependent triple that is not a 3-circuit holds a
+        loop or a parallel pair, checked first, so once those hold it
+        vanishes."""
+        for p in sorted(self.loops):
+            if any(cols[p - 1]):
+                return f"loop {p} is nonzero"
+        for cls in self.parallel:
+            for a, b in combinations(cls, 2):
+                if any(cross(cols[a - 1], cols[b - 1])):
+                    return f"parallel pair {{{a},{b}}} is independent"
+        for a, b, d in self.circuits3():
+            if det3(cols[a - 1], cols[b - 1], cols[d - 1]) != 0:
+                return f"circuit {{{a},{b},{d}}} has nonzero determinant"
+        return None
+
+    def violated_independence(self, cols: Sequence[Sequence[int]]) -> Optional[str]:
+        """The first independence violated by the integer columns cols, as
+        `violated_dependency` takes them, or None: a zero non-loop point,
+        then two points of distinct parallel classes on one projective
+        point, then a basis with zero determinant."""
+        for p in self.nonloop_points:
+            if not any(cols[p - 1]):
+                return f"non-loop point {p} is the zero vector"
+        rep = self._rep
+        for a, b in combinations(self.nonloop_points, 2):
+            if rep[a] != rep[b] and not any(cross(cols[a - 1], cols[b - 1])):
+                return f"points {a},{b} coincide but are not parallel"
+        for t in self.bases():
+            a, b, c = t
+            if det3(cols[a - 1], cols[b - 1], cols[c - 1]) == 0:
+                return f"basis {set(t)} is dependent"
+        return None
 
     def dependency_signature(self) -> frozenset[frozenset[int]]:
         """All dependent subsets of size <= 3 (determines all dependencies)."""

@@ -2,7 +2,10 @@
 
 Everything here is exact: realizations are rational, membership means
 literal vanishing of determinants, and limit statements are checked through
-monotone shrinking of exact differences at sample parameter values.
+monotone shrinking of exact differences at sample parameter values.  The
+membership checks `in_circuit_variety` and `in_realization_space` run the
+configuration's own checks (`Config.violated_dependency` and
+`Config.violated_independence`) on a realization's integer columns.
 
 Every sampler draws through `_retrying`: a draw is rejected only by raising
 `FixtureError` (or the `DegenerateLineError` of `meet_lines`), and each
@@ -17,7 +20,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, partial
 from itertools import combinations
-from typing import Callable, Iterable, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 from .config import (
     Config,
@@ -29,6 +32,7 @@ from .config import (
     q_points,
 )
 from .gc import gm_generators
+from .lifting import q_general_position
 from .linalg import (
     ZERO3,
     DegenerateLineError,
@@ -58,37 +62,17 @@ RETRY_CAP = 100  # attempts a sampler makes before giving up
 # Membership
 
 
-def _circuit_witness(cfg: Config, cols: Sequence[Sequence[int]]) -> Optional[str]:
-    """The first dependency of cfg violated by the integer columns cols, or
-    None.
-
-    The columns are a realization's integer view or any nonzero multiples of
-    its columns: a nonzero multiple of a column keeps the zero pattern of
-    every cross product and determinant, so the witness is the
-    realization's.  A dependent triple that is not a 3-circuit holds a loop
-    or a parallel pair, checked first, so once those hold it vanishes."""
-    if len(cols) != cfg.d:
-        raise FixtureError("realization size does not match configuration")
-    for p in sorted(cfg.loops):
-        if any(cols[p - 1]):
-            return f"loop {p} is nonzero"
-    for cls in cfg.parallel:
-        for a, b in combinations(cls, 2):
-            if any(cross(cols[a - 1], cols[b - 1])):
-                return f"parallel pair {{{a},{b}}} is independent"
-    for a, b, d in cfg.circuits3():
-        if det3(cols[a - 1], cols[b - 1], cols[d - 1]) != 0:
-            return f"circuit {{{a},{b},{d}}} has nonzero determinant"
-    return None
-
-
 def in_circuit_variety(cfg: Config, gamma: Realization):
     """(verdict, witness): every dependency of cfg holds at gamma.
 
-    Checks 3-circuits, zero loop columns, and pairwise dependence inside
-    parallel classes; witness names the first violated dependency.
+    Checks zero loop columns, pairwise dependence inside parallel classes,
+    and 3-circuits on gamma's integer columns (`Config.violated_dependency`);
+    witness names the first violated dependency.
     """
-    witness = _circuit_witness(cfg, gamma._integer_view[0])
+    cols = gamma._integer_view[0]
+    if len(cols) != cfg.d:
+        raise FixtureError("realization size does not match configuration")
+    witness = cfg.violated_dependency(cols)
     return witness is None, witness
 
 
@@ -97,24 +81,14 @@ def in_realization_space(cfg: Config, gamma: Realization):
 
     Beyond in_circuit_variety this demands nonzero non-loop columns,
     independence across parallel classes, and nonzero determinant for every
-    independent triple (every basis of the configuration).
+    independent triple (every basis of the configuration):
+    `Config.violated_independence`, checked once every dependency holds.
     """
     cols = gamma._integer_view[0]
-    witness = _circuit_witness(cfg, cols)
-    if witness is not None:
-        return False, witness
-    for p in cfg.nonloop_points:
-        if not any(cols[p - 1]):
-            return False, f"non-loop point {p} is the zero vector"
-    rep = cfg._rep
-    for a, b in combinations(cfg.nonloop_points, 2):
-        if rep[a] != rep[b] and not any(cross(cols[a - 1], cols[b - 1])):
-            return False, f"points {a},{b} coincide but are not parallel"
-    for t in cfg.bases():
-        a, b, c = t
-        if det3(cols[a - 1], cols[b - 1], cols[c - 1]) == 0:
-            return False, f"basis {set(t)} is dependent"
-    return True, None
+    if len(cols) != cfg.d:
+        raise FixtureError("realization size does not match configuration")
+    witness = cfg.violated_dependency(cols) or cfg.violated_independence(cols)
+    return witness is None, witness
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +428,7 @@ def components_distinct(report: DecompReport) -> bool:
     alone (adding a loop enlarges the dependency signature while cutting out
     a different irreducible component), so distinctness is what we check.
     """
-    sigs = [(c.cfg.loops, c.cfg.dependency_signature()) for c in report.components]
+    sigs = [c.cfg.dependency_signature() for c in report.components]
     return len(set(sigs)) == len(sigs)
 
 
@@ -568,7 +542,6 @@ def generic_q(gamma: Realization, seed: int, cfg: Config) -> Vec3:
     draw raises the error of the single-q verdicts
     (`lifting.q_general_position`), such as a LiftingError naming the first
     violated circuit."""
-    from .lifting import q_general_position
 
     def make(rng: random.Random) -> Vec3:
         q = vec3(_rand_frac(rng), _rand_frac(rng), 1 + _rand_frac(rng))

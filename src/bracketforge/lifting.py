@@ -19,7 +19,9 @@ order.
   `q_general_position` answers from too.  Its one pass per line checks the
   line and builds the line's frame rows of the liftability matrix on the
   realization's integer columns, k - 2 per k-point line; the verdicts take
-  their rank and kernel in `linalg`.
+  their rank and kernel in `linalg`.  A fault the scan meets, and a
+  lifting `construct_lifting` tries, is checked against the circuits by
+  `Config.violated_dependency`.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from . import config
 from .config import Config
-from .harness import _circuit_witness, in_circuit_variety
 from .linalg import (
     BASIS,
     Realization,
@@ -420,12 +421,12 @@ def _scan_lifting_input(cfg: Config, gamma: Realization, q: Vec3):
 
 def _scan_fault(cfg: Config, gamma: Realization) -> None:
     """The outcome of a scan that met a fault: the LiftingError naming the
-    first circuit gamma violates (`in_circuit_variety`), as when the circuits
-    were checked first, or None.  A point off its line's frame plane always
-    leaves a violated circuit, so when there is none, q is not in general
-    position."""
-    ok, witness = in_circuit_variety(cfg, gamma)
-    if not ok:
+    first circuit gamma violates (`Config.violated_dependency`), as when the
+    circuits were checked first, or None.  A point off its line's frame plane
+    always leaves a violated circuit, so when there is none, q is not in
+    general position."""
+    witness = cfg.violated_dependency(gamma._integer_view[0])
+    if witness is not None:
         raise LiftingError(f"realization violates a circuit of the configuration: {witness}")
     return None
 
@@ -481,7 +482,7 @@ def construct_lifting(cfg: Config, gamma: Realization, q: Vec3) -> Optional[Real
 
     A kernel vector's lifting is tried on its integer columns N_i
     (`_lifted_columns`), positive multiples of gamma_i + z_i * q: they have
-    its rank and its circuit witness (`harness._circuit_witness`), so the
+    its rank and its circuit witness (`Config.violated_dependency`), so the
     rank 3 test and the check that the lifting keeps every circuit run on
     integers, and the Fractions N_ik / den_i of the returned collection are
     built once.
@@ -493,7 +494,7 @@ def construct_lifting(cfg: Config, gamma: Realization, q: Vec3) -> Optional[Real
     for w, den in _integer_kernel(rows, cfg.d, mults):
         cols, dens = _lifted_columns(gamma, w, den, q_int, s_q)
         if _span_rank(cols) == 3:
-            witness = _circuit_witness(cfg, cols)
+            witness = cfg.violated_dependency(cols)
             if witness is not None:
                 raise LiftingError(
                     f"lifted collection violates a circuit; kernel not exact: {witness}"

@@ -79,12 +79,17 @@ def lines_through_scan(cfg: Config, p: int) -> tuple[tuple[int, ...], ...]:
     return tuple(l for l in cfg.lines if p in l)
 
 
+def same_class(cfg: Config, p: int, q: int) -> bool:
+    """Whether p and q lie in one parallel class of cfg."""
+    return any(p in cls and q in cls for cls in cfg.parallel)
+
+
 def dependency_signature_scan(cfg: Config) -> frozenset[frozenset[int]]:
     """Reference for Config.dependency_signature: the loops, the pairs of one
     parallel class, and every triple is_dependent_triple accepts."""
     sig: set[frozenset[int]] = {frozenset({p}) for p in cfg.loops}
     for p, q in combinations(cfg.nonloop_points, 2):
-        if cfg._rep[p] == cfg._rep[q]:
+        if same_class(cfg, p, q):
             sig.add(frozenset({p, q}))
     for t in combinations(range(1, cfg.d + 1), 3):
         if cfg.is_dependent_triple(t):

@@ -35,6 +35,13 @@ def test_describe_from_file(tmp_path):
     assert code == 0 and doc["loops"] == [4]
 
 
+def test_describe_names_a_label_outside_the_ground_set(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"d": 4, "lines": [[1, 2, 5]]}')
+    code, doc = run(["describe", "--config", str(path)])
+    assert code == 1 and doc == {"error": "line (1, 2, 5) has label 5 outside 1..4"}
+
+
 def test_circuit_family_of_a_non_simple_file_is_error(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text('{"d": 4, "lines": [[1, 2, 3]], "loops": [4], "parallel": []}')

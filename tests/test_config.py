@@ -51,6 +51,21 @@ def test_validation_rejects_bad_lines():
         Config(3, lines=[(1, 2, 9)])  # label out of range
 
 
+@pytest.mark.parametrize("lines, loops, parallel, text", [
+    ([(1, 2, 5)], (), (), "line (1, 2, 5) has label 5 outside 1..4"),
+    ([(0, 1, 2)], (), (), "line (0, 1, 2) has label 0 outside 1..4"),
+    ([(1, 2, 3)], (), [(1, 5)], "parallel class (1, 5) has label 5 outside 1..4"),
+    ([(1, 2, 3)], (3,), (), "line (1, 2, 3) not within non-loop points"),
+    ([(1, 2, 3)], (4,), [(1, 4)], "parallel class outside non-loop points"),
+])
+def test_validation_names_the_label_outside_the_ground_set(lines, loops, parallel, text):
+    """A label outside 1..d is named with the range; a line or class through
+    a loop keeps its own text."""
+    with pytest.raises(ConfigError) as exc:
+        Config(4, lines, loops, parallel)
+    assert str(exc.value) == text
+
+
 def test_parallel_collapse_detects_shared_points():
     # 4 and 5 are parallel, so the two lines share two collapsed points
     with pytest.raises(ConfigError):

@@ -31,7 +31,7 @@ from bracketforge.harness import (
 )
 from bracketforge.linalg import cross
 
-from oracles import (dependency_signature_scan, lines_through_scan, sha256_lines,
+from oracles import (dependency_signature_scan, lines_through_scan, same_class, sha256_lines,
                      subset_has_cycle_dfs)
 
 
@@ -103,13 +103,12 @@ def test_sub_configuration_golden(method):
 
 def test_circuits3_are_the_dependent_triples_without_loops_or_parallel_pairs():
     for name, cfg in CONFIGS + [("xi_limit_config()", xi_limit_config())]:
-        rep = cfg._rep
         want = tuple(
             t
             for t in combinations(cfg.points, 3)
             if cfg.is_dependent_triple(t)
             and not set(t) & cfg.loops
-            and len({rep[p] for p in t}) == 3
+            and not any(same_class(cfg, a, b) for a, b in combinations(t, 2))
         )
         assert cfg.circuits3() == want, name
         assert cfg.circuits3() is cfg.circuits3()

@@ -32,7 +32,7 @@ from bracketforge.harness import (
 )
 from bracketforge.linalg import ZERO3, Realization, cross, det3, meet_lines, vec3, vscale
 
-from oracles import sha256_lines
+from oracles import same_class, sha256_lines
 
 
 def test_fixture_samples_are_genuine_realizations():
@@ -146,6 +146,15 @@ def test_in_circuit_variety_vs_realization_space():
     # collinear points satisfy every circuit but carry extra dependencies
     assert in_circuit_variety(cfg, g)[0]
     assert not in_realization_space(cfg, g)[0]
+
+
+@pytest.mark.parametrize("check", [in_circuit_variety, in_realization_space])
+def test_membership_rejects_a_realization_of_another_size(check):
+    cfg = preset("pascal")
+    cols = pascal_family_sample(0).cols
+    for gamma in (Realization(cols[:-1]), Realization(cols + (vec3(1, 2, 3),))):
+        with pytest.raises(FixtureError, match="^realization size does not match configuration$"):
+            check(cfg, gamma)
 
 
 def test_pascal_family_degenerate_params_rejected():
@@ -316,9 +325,8 @@ def _ref_in_realization_space(cfg, gamma):
     for p in cfg.nonloop_points:
         if not any(gamma.col(p)):
             return False, f"non-loop point {p} is the zero vector"
-    rep = cfg._rep
     for a, b in combinations(cfg.nonloop_points, 2):
-        if rep[a] != rep[b] and cross(gamma.col(a), gamma.col(b)) == ZERO3:
+        if not same_class(cfg, a, b) and cross(gamma.col(a), gamma.col(b)) == ZERO3:
             return False, f"points {a},{b} coincide but are not parallel"
     for t in cfg.bases():
         if det3(*(gamma.col(p) for p in t)) == 0:

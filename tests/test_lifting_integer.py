@@ -555,7 +555,7 @@ def test_valid_inputs_skip_the_full_scans(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("a verdict ran a full scan of its input")
 
-    monkeypatch.setattr(lifting, "in_circuit_variety", fail)
+    monkeypatch.setattr(lifting, "_scan_fault", fail)
     monkeypatch.setattr(lifting, "q_general_position", fail)
     for cfg, gamma, q in inputs:
         assert lift_dim(cfg, gamma, q) >= 0
