@@ -381,7 +381,8 @@ def chains(cfg: Config) -> tuple[ChainReport, ChainReport]:
 
 
 def is_nilpotent(cfg: Config) -> bool:
-    return chains(cfg)[0].verdict == "nilpotent"
+    cfg._require_simple()
+    return _chain(cfg, 2, "S").verdict == "nilpotent"
 
 
 def q_points(cfg: Config) -> frozenset[int]:

@@ -8,9 +8,11 @@ configuration's own checks (`Config.violated_dependency` and
 `Config.violated_independence`) on a realization's integer columns.
 
 Every sampler draws through `_retrying`: a draw is rejected only by raising
-`FixtureError` (or the `DegenerateLineError` of `meet_lines`), and each
-configuration sample is accepted by one realization-space check,
-`_realization`.
+`FixtureError` (or the `DegenerateLineError` of `meet_lines`).  A rank-3
+sample is accepted by one realization-space check, `_realization`; the
+rank-2 `collinear_realization` and `quadrilateral_set_flat` check rank and
+distinctness themselves, as that check there costs the benchmark's
+lift-kernel its memory bound until its records are bounded (ROADMAP item 1).
 """
 
 from __future__ import annotations

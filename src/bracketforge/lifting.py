@@ -17,11 +17,11 @@ order.
 - The single-q verdicts `lift_dim`, `construct_lifting` and
   `trivial_lifting_dim` share one input check, `_scan_lifting_input`, which
   `q_general_position` answers from too.  Its one pass per line checks the
-  line and builds the line's frame rows of the liftability matrix on the
-  realization's integer columns, k - 2 per k-point line; the verdicts take
-  their rank and kernel in `linalg`.  A fault the scan meets, and a
-  lifting `construct_lifting` tries, is checked against the circuits by
-  `Config.violated_dependency`.
+  line and builds its k - 2 frame rows of the liftability matrix on the
+  realization's integer columns; `lift_dim` and `construct_lifting` take
+  their rank and kernel in `linalg`, `trivial_lifting_dim` is closed form.
+  A fault the scan meets, and a lifting `construct_lifting` tries, is
+  checked against the circuits by `Config.violated_dependency`.
 """
 
 from __future__ import annotations
@@ -513,13 +513,12 @@ def trivial_lifting_dim(cfg: Config, gamma: Realization, q: Vec3) -> int:
     [c2 c3 q] gamma_c1 - [c1 c3 q] gamma_c2 + [c1 c2 q] gamma_c3 = [c1 c2 c3] q,
     and [c1 c2 c3] = 0.  The lifted collection (I + q h^T) gamma is planar.
     When gamma and q span Q^3 these are the only planar liftings, so the
-    dimension is rank(gamma) = 2.  Otherwise every lifting stays inside
-    span(gamma, q), and the whole kernel counts.
+    dimension is rank(gamma) = 2.  Otherwise it is d: a frame pair (a, b)
+    has [a b q'] != 0, so g_a, g_b and q' span Q^3, and the scan built no
+    row; every z in Q^d lifts inside span(gamma, q), of rank <= 2.
     """
-    q_int, _, rows = _check_lifting_input(cfg, gamma, q)
+    q_int = _check_lifting_input(cfg, gamma, q)[0]
     ints = gamma._integer_view[0]
     if _span_rank(ints) > 2:
         raise LiftingError("trivial_lifting_dim expects a planar (rank <= 2) collection")
-    if _span_rank(ints + (q_int,)) == 3:
-        return 2
-    return cfg.d - _rank(rows, cfg.d)
+    return 2 if _span_rank(ints + (q_int,)) == 3 else cfg.d

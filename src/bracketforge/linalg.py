@@ -6,20 +6,20 @@ the closed-form triple product, one call with the same arithmetic on ints and
 Fractions. Matrices are lists of row lists with int or Fraction entries.
 Rank, RREF, kernels and determinants clear each row's denominators and then
 eliminate on integer rows, fraction-free, so only their outputs are
-Fractions, and those are exact. Rank,
-RREF and kernels keep every row primitive and change only the rows with a
-nonzero in the pivot column, so a sparse matrix such as a liftability matrix
-(three nonzeros per row) costs little and no entry grows past the Bareiss
-entry.  Rank and kernels take integer rows as sparse (column, value) pairs,
-and `rank` passes a matrix's integer rows through the same `_rank`.  Rank
-first peels on the rows' supports: a row that is the only nonzero of some
-column is independent of the rest, adds 1 and is set aside, which may leave
-another column with one nonzero; only the rows left are written densely and
-eliminated, on the shorter side.  A kernel yields its vectors one at a time
-as integer vectors over one positive denominator, so a caller that stops at
-the first it can use builds no other, and only `kernel_basis` makes
-Fractions of them.  det_exact stays Bareiss: exact division by the previous
-pivot leaves the determinant as the last pivot.
+Fractions, and those are exact. Rank, RREF and kernels keep every row
+primitive and change only the rows with a nonzero in the pivot column, so a
+sparse matrix such as a liftability matrix (three nonzeros per row) costs
+little and no entry grows past the Bareiss entry.  Rank and kernels take
+integer rows as sparse (column, value) pairs, and `rank` passes a matrix's
+integer rows through the same `_rank`.  Rank first peels on the rows'
+supports: a row that is the only nonzero of some column is independent of
+the rest, adds 1 and is set aside, which may leave another column with one
+nonzero; only the rows left are written densely and eliminated.  A kernel
+yields its vectors one at a time as integer vectors over one positive
+denominator, so a caller that stops at the first it can use builds no
+other, and only `kernel_basis` makes Fractions of them.  det_exact stays
+Bareiss: exact division by the previous pivot leaves the determinant as the
+last pivot.
 A set of 3-vectors, such as a Realization's columns, takes its rank from
 `_span_rank` with no elimination: one cross product or one dot product per
 vector.
@@ -206,8 +206,7 @@ def _rank(rows: Sequence[Sequence[tuple[int, int]]], ncols: int) -> int:
     aside, which may leave another column with one nonzero.  Each column
     keeps its count of nonzeros in the rows not set aside and the sum of
     those rows' indices, which is the row's index once the count is 1.
-    Then writes the rows left densely and eliminates them on the shorter
-    side: the transpose when there are more rows than columns.
+    Then writes the rows left densely and eliminates them.
     """
     support = [[c for c, x in row if x] for row in rows]
     count = [0] * ncols
@@ -231,8 +230,6 @@ def _rank(rows: Sequence[Sequence[tuple[int, int]]], ncols: int) -> int:
             if count[c] == 1:
                 ready.append(c)
     a = _dense([row for row, cs in zip(rows, support) if cs], ncols)
-    if len(a) > ncols:
-        a = list(zip(*a))
     return peeled + len(_eliminate(a, reduce=False))
 
 

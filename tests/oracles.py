@@ -37,6 +37,22 @@ CRITERION_6_CONFIGS = [
 ]
 
 
+def random_simple_config(rng) -> Config:
+    """A simple configuration on 3 to 10 points with up to 6 lines of 3 to 5
+    points.  Each line is drawn up to 40 times, until it shares at most one
+    point with every earlier line, so dense and non-nilpotent configurations
+    come up too."""
+    d = rng.randint(3, 10)
+    lines: list[set[int]] = []
+    for _ in range(rng.randint(0, 6)):
+        for _ in range(40):
+            line = set(rng.sample(range(1, d + 1), rng.randint(3, min(5, d))))
+            if all(len(line & other) <= 1 for other in lines):
+                lines.append(line)
+                break
+    return Config(d, lines)
+
+
 def sha256_lines(lines: Iterable[str]) -> str:
     """The sha256 hex digest of the lines joined by newlines: how the golden
     digests of the tests are recorded."""

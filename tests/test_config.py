@@ -24,7 +24,7 @@ from bracketforge.config import (
     subset_has_cycle,
 )
 
-from oracles import subset_has_cycle_dfs
+from oracles import random_simple_config, subset_has_cycle_dfs
 
 
 def test_qs_circuits():
@@ -362,6 +362,23 @@ def test_cactus_implies_nilpotent():
     for name in ("cactus14", "line:5", "cycle:3:3", "cycle:4:4"):
         assert cactus_check(preset(name)).is_cactus
         assert is_nilpotent(preset(name))
+
+
+def test_is_nilpotent_matches_admissible_ordering_on_random_configs():
+    """A simple configuration is nilpotent exactly when the greedy peel
+    finds an admissible ordering, and `is_nilpotent` is the S-chain's
+    verdict."""
+    rng = random.Random(32)
+    verdicts = Counter()
+    for _ in range(2000):
+        cfg = random_simple_config(rng)
+        nilpotent = is_nilpotent(cfg)
+        assert nilpotent == (admissible_ordering(cfg) is not None), cfg
+        assert nilpotent == (chains(cfg)[0].verdict == "nilpotent"), cfg
+        verdicts[nilpotent] += 1
+    assert min(verdicts.values()) >= 150, verdicts
+    with pytest.raises(ConfigError, match="simple"):
+        is_nilpotent(Config(3, [], loops=[1]))
 
 
 def test_bases_are_kept_and_match_a_fresh_computation():

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from bracketforge.config import Config, nilpotent_dim, preset
+from bracketforge.config import Config, is_nilpotent, nilpotent_dim, preset
 from bracketforge.harness import (
     collinear_realization,
     generic_q,
@@ -28,7 +28,7 @@ from bracketforge import poly
 from bracketforge.linalg import E1, E2, E3, Realization, cross, kernel_basis, rank, vec3
 from bracketforge.poly import Q_COL, bracket
 
-from oracles import CRITERION_6_CONFIGS, expanded_values
+from oracles import CRITERION_6_CONFIGS, expanded_values, random_simple_config
 
 
 def test_matrix_shape_and_row_support():
@@ -183,6 +183,24 @@ def test_lift_dim_is_kernel_dimension(cfg):
         g = collinear_realization(cfg, seed=gseed)
         for qseed in range(2):
             check_lifting_verdicts(cfg, g, generic_q(g, seed=100 * gseed + qseed, cfg=cfg))
+
+
+def test_lift_dim_is_nilpotent_dim_on_random_nilpotent_configs():
+    """Criterion 6 beyond its fixtures: at generic collinear points, with a
+    generic q, the lifting dimension of a nilpotent configuration is
+    d - sum(w_i) of its admissible ordering."""
+    rng = random.Random(6)
+    checked, cut = 0, 0
+    while checked < 500:
+        cfg = random_simple_config(rng)
+        if not is_nilpotent(cfg):
+            continue
+        g = collinear_realization(cfg, seed=checked)
+        want = nilpotent_dim(cfg)
+        assert lift_dim(cfg, g, generic_q(g, checked, cfg)) == want, cfg
+        checked += 1
+        cut += want < cfg.d
+    assert cut >= 400, cut
 
 
 @pytest.mark.parametrize("flat", [False, True])

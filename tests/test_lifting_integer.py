@@ -307,15 +307,52 @@ def test_an_inexact_kernel_is_caught_on_the_lifted_columns(monkeypatch):
         assert str(err.value) == f"lifted collection violates a circuit; kernel not exact: {witness}"
 
 
-def test_trivial_lifting_dim_on_a_spanning_q_takes_no_rank(monkeypatch):
+def forbid_elimination(monkeypatch):
+    """Make `lifting._rank` and `lifting._integer_kernel` raise."""
     def fail(*args, **kwargs):
         raise AssertionError("trivial_lifting_dim eliminated rows it does not read")
 
     monkeypatch.setattr(lifting, "_rank", fail)
     monkeypatch.setattr(lifting, "_integer_kernel", fail)
+
+
+def test_trivial_lifting_dim_on_a_spanning_q_takes_no_rank(monkeypatch):
+    """qs-flat and collinear samples with a generic q span Q^3: 2."""
+    forbid_elimination(monkeypatch)
     cfg = random_cactus(0)
     gamma = collinear_realization(cfg, 0)
     assert trivial_lifting_dim(cfg, gamma, generic_q(gamma, 0, cfg)) == 2
+    qs = preset("qs")
+    for seed in range(3):
+        flat = quadrilateral_set_flat(seed)
+        assert trivial_lifting_dim(qs, flat, generic_q(flat, seed, qs)) == 2
+    for cfg in CRITERION_6_CONFIGS:
+        gamma = collinear_realization(cfg, 1)
+        assert trivial_lifting_dim(cfg, gamma, generic_q(gamma, 1, cfg)) == 2
+
+
+def test_trivial_lifting_dim_without_a_frame_pair_takes_no_rank(monkeypatch):
+    """With q in the points' plane no line has an independent pair, the scan
+    builds no row and the Fraction matrix is zero: d, with neither a rank
+    nor a kernel.  The input check's errors keep their texts."""
+    forbid_elimination(monkeypatch)
+    plane = Realization(tuple(vec3(1, i, 0) for i in range(1, 5)))
+    # points 1, 2, 3 of the line coincide, so it has no independent pair
+    coincident = Realization((vec3(1, 0, 0), vec3(2, 0, 0), vec3(-1, 0, 0), vec3(0, 1, 0)))
+    one_line = Config(4, lines=[(1, 2, 3)])
+    for cfg, gamma, q in [(Config(4, lines=()), plane, vec3(1, 5, 0)),
+                          (one_line, coincident, vec3(1, 1, 0))]:
+        assert _check_lifting_input(cfg, gamma, q)[2] == []
+        assert rank(lift_matrix(cfg, QScheme.symbolic()).evaluate(gamma, q)) == 0
+        assert trivial_lifting_dim(cfg, gamma, q) == 4
+    skew = Realization((vec3(1, 0, 0), vec3(0, 1, 0), vec3(0, 0, 1), vec3(1, 1, 1)))
+    witness = in_circuit_variety(one_line, skew)[1]
+    with pytest.raises(LiftingError) as err:
+        trivial_lifting_dim(one_line, skew, vec3(1, 2, 5))
+    assert str(err.value) == f"realization violates a circuit of the configuration: {witness}"
+    with pytest.raises(LiftingError) as err:
+        trivial_lifting_dim(one_line, coincident, coincident.col(4))
+    assert str(err.value) == "q is not in general position for this realization"
 
 
 def coincide(gamma: Realization, points, onto: int, scales) -> Realization:
